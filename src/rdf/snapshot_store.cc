@@ -275,6 +275,7 @@ void SnapshotRdfStore::SetObservability(obs::EventLog* event_log,
                                         obs::Timeline* timeline) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   store_.set_event_log(event_log);
+  event_log_.store(event_log, std::memory_order_release);
   store_.set_slow_query_log(slow_query_log);
   store_.set_timeline(timeline);
   // Re-publish so readers pick up the new attachments.

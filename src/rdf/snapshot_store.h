@@ -277,6 +277,12 @@ class SnapshotRdfStore {
                         obs::SlowQueryLog* slow_query_log,
                         obs::Timeline* timeline);
 
+  /// The event log attached by SetObservability (null when none).
+  /// Lock-free, so health checks never wait behind a writer.
+  obs::EventLog* event_log() const {
+    return event_log_.load(std::memory_order_acquire);
+  }
+
   /// Versions published so far (>= 1: the constructor publishes).
   uint64_t PublishedVersions() const {
     std::lock_guard<std::mutex> lock(writer_mu_);
@@ -300,8 +306,8 @@ class SnapshotRdfStore {
   RdfStore::MemoryBreakdown MemoryUsage() const;
 
   /// MemoryUsage() pushed into the mem_* gauges, plus a refresh of the
-  /// retention-age gauge and the epoch-stall watchdog check. This is
-  /// the stats server's refresh hook target.
+  /// retention-age gauge and the epoch-stall watchdog check. The server
+  /// runs it before every route that renders gauges.
   void UpdateMemoryGauges() const;
 
   /// Seconds a retired version may stay blocked before the watchdog
@@ -333,6 +339,7 @@ class SnapshotRdfStore {
   std::atomic<const StoreVersion*> current_{nullptr};
   mutable std::mutex writer_mu_;
   uint64_t seq_counter_ = 0;  ///< under writer_mu_
+  std::atomic<obs::EventLog*> event_log_{nullptr};  ///< mirrors store_'s
   double retention_warn_seconds_ = 5.0;            ///< under writer_mu_
   mutable std::chrono::steady_clock::time_point
       last_stall_warn_{};  ///< under writer_mu_

@@ -1,11 +1,11 @@
 // Bounded HTTP/1.1 request parsing and response rendering for the
-// query front-end (server/server.h), plus the tiny blocking client the
-// load generator and the tests use.
+// server (server/server.h) — the one HTTP stack in rdfdb, serving the
+// query endpoints and the observability routes alike — plus the tiny
+// blocking client the load generator and the tests use.
 //
-// This is deliberately the same species of HTTP as obs/stats_server.h —
-// one request per connection, Connection: close, no chunked encoding,
-// no keep-alive — but unlike the stats peephole the front-end accepts
-// POST bodies, so parsing is bounded at every stage: the request head
+// Deliberately small HTTP: one request per connection, Connection:
+// close, no chunked encoding, no keep-alive. The server accepts POST
+// bodies, so parsing is bounded at every stage: the request head
 // (request line + headers) is capped, the declared Content-Length is
 // capped, and anything over a cap is answered with 413 instead of being
 // buffered without limit. Malformed requests get 400. The caps are the

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,7 +20,13 @@
 #endif
 
 #include "obs/active_ops.h"
+#include "obs/event_log.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
+#include "obs/profiler.h"
+#include "obs/resource_tracker.h"
+#include "obs/slow_query_log.h"
+#include "obs/span_timeline.h"
 #include "obs/trace.h"
 #include "query/match.h"
 #include "rdf/ntriples.h"
@@ -27,6 +34,15 @@
 namespace rdfdb::server {
 
 namespace {
+
+/// Retry-After seconds on a shed 503.
+constexpr int kRetryAfterSeconds = 1;
+/// Per-connection socket I/O timeout of a served request.
+constexpr int kIoTimeoutMs = 5000;
+/// Statements between two deadline checks inside an insert batch.
+constexpr size_t kInsertCheckInterval = 1024;
+/// /profilez sampling window when the request names none.
+constexpr double kDefaultProfileSeconds = 2.0;
 
 /// JSON rendering of the trace counts a partially-executed query
 /// accumulated before its deadline fired — the 504 body's "the server
@@ -75,7 +91,26 @@ HttpResponse JsonResponse(int status, std::string body) {
   return resp;
 }
 
+HttpResponse TextResponse(int status, std::string body) {
+  return HttpResponse{status, "text/plain; charset=utf-8", std::move(body),
+                      {}};
+}
+
 }  // namespace
+
+std::string StoreHealthSignals(const obs::MetricsRegistry& registry) {
+  std::string failing;
+  const obs::Gauge* lag = registry.FindGauge("rdfdb_oldest_pinned_epoch_lag");
+  if (lag != nullptr && lag->Value() >= kUnhealthyEpochLag) {
+    failing += " epoch_lag=" + std::to_string(lag->Value());
+  }
+  const obs::Gauge* age =
+      registry.FindGauge("rdfdb_version_retention_age_seconds");
+  if (age != nullptr && age->Value() >= kUnhealthyRetentionAgeSeconds) {
+    failing += " retention_age_seconds=" + std::to_string(age->Value());
+  }
+  return failing;
+}
 
 ServerMetrics::ServerMetrics(obs::MetricsRegistry* registry)
     : accepted(registry->RegisterCounter(
@@ -106,18 +141,13 @@ RdfServer::RdfServer(rdf::SnapshotRdfStore* store, RdfServerOptions options)
       options_(std::move(options)),
       metrics_(&store->metrics_registry()),
       queue_(options_.queue_capacity),
-      shed_window_(5) {
-  obs::StatsServer::Sources sources = options_.stats_sources;
-  if (sources.registry == nullptr) {
-    sources.registry = &store_->metrics_registry();
+      shed_window_(5),
+      started_(std::chrono::steady_clock::now()) {
+  // Pre-existing drops are history, not a new degradation: only drops
+  // after the server came up flip /healthz.
+  if (const obs::EventLog* events = store_->event_log()) {
+    health_seen_drops_ = events->dropped();
   }
-  if (!sources.refresh) {
-    sources.refresh = [store = store_] { store->UpdateMemoryGauges(); };
-  }
-  // The front-end owns the overload half of /healthz; the stats
-  // server's own signals (event-log drops, epoch lag) still apply.
-  sources.extra_health = [this] { return OverloadSignal(); };
-  stats_ = std::make_unique<obs::StatsServer>(sources);
 }
 
 RdfServer::~RdfServer() { Shutdown(); }
@@ -191,7 +221,7 @@ void RdfServer::Shutdown() {
   workers_.clear();
   if (watcher_.joinable()) watcher_.join();
 
-  if (options_.event_log != nullptr) options_.event_log->Flush();
+  if (obs::EventLog* events = store_->event_log()) events->Flush();
   running_.store(false, std::memory_order_release);
 }
 
@@ -233,12 +263,12 @@ void RdfServer::AcceptLoop() {
       // a short timeout so a slow receiver can't wedge the acceptor.
       metrics_.shed->Inc();
       shed_window_.Record(/*shed=*/true);
-      SetSocketTimeouts(conn, std::min(options_.io_timeout_ms, 1000));
+      SetSocketTimeouts(conn, /*timeout_ms=*/1000);
       HttpResponse resp = JsonResponse(
           503, "{\"error\": \"overloaded\", \"queue_capacity\": " +
                    std::to_string(queue_.capacity()) + "}");
       resp.extra_headers.emplace_back(
-          "Retry-After", std::to_string(options_.retry_after_seconds));
+          "Retry-After", std::to_string(kRetryAfterSeconds));
       SendAll(conn, RenderHttpResponse(resp));
       // Consume the client's request before closing: closing with
       // unread bytes in the receive buffer makes the kernel send RST,
@@ -264,7 +294,7 @@ void RdfServer::WorkerLoop() {
 }
 
 void RdfServer::ServeConn(const AdmittedConn& conn) {
-  SetSocketTimeouts(conn.fd, options_.io_timeout_ms);
+  SetSocketTimeouts(conn.fd, kIoTimeoutMs);
   Result<HttpRequest> parsed = ReadHttpRequest(conn.fd, options_.http_limits);
   if (!parsed.ok()) {
     if (!parsed.status().IsIOError()) {
@@ -337,18 +367,121 @@ HttpResponse RdfServer::Handle(const HttpRequest& request,
     }
     return HandleReify(request);
   }
-  // Observability surface: delegate to the embedded stats server's
-  // socket-free router (same endpoints, same bodies).
   if (request.method == "GET") {
-    obs::StatsServer::Response stats = stats_->Handle(request.target);
-    HttpResponse resp;
-    resp.status = stats.status;
-    resp.content_type = stats.content_type;
-    resp.body = std::move(stats.body);
-    return resp;
+    return HandleObservability(request, token);
   }
-  return HttpResponse{405, "text/plain; charset=utf-8",
-                      "method not allowed\n", {}};
+  return TextResponse(405, "method not allowed\n");
+}
+
+HttpResponse RdfServer::HandleObservability(const HttpRequest& request,
+                                            const CancelToken* token) {
+  const std::string& path = request.path;
+  // Refresh derived gauges (store memory breakdown, epoch lag,
+  // retention age) before any endpoint that reads them.
+  if (path == "/metrics" || path == "/varz" || path == "/" ||
+      path == "/healthz") {
+    store_->UpdateMemoryGauges();
+  }
+  if (path == "/healthz") return HandleHealthz();
+  if (path == "/metrics") {
+    return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                        store_->metrics_registry().RenderPrometheus(), {}};
+  }
+  if (path == "/profilez") return HandleProfilez(request, token);
+  if (path == "/allocz") return JsonResponse(200, obs::RenderAllocz());
+  if (path == "/activityz") return JsonResponse(200, obs::RenderActivityz());
+  if (path == "/historyz" && options_.recorder != nullptr) {
+    return JsonResponse(200, options_.recorder->RenderHistoryJson());
+  }
+  // The slow-query log and timeline are whatever the current version
+  // carries (SnapshotRdfStore::SetObservability).
+  rdf::SnapshotRdfStore::ReadPin pin = store_->Snapshot();
+  if (path == "/varz" || path == "/") return HandleVarz(*pin);
+  if (path == "/slow" && pin->slow_query_log() != nullptr) {
+    return JsonResponse(200, pin->slow_query_log()->ToJson());
+  }
+  if (path == "/timeline" && pin->timeline() != nullptr) {
+    return JsonResponse(200, pin->timeline()->ToChromeTraceJson());
+  }
+  return TextResponse(404,
+                      "not found: " + path +
+                          "\nendpoints: /metrics /varz /healthz /slow "
+                          "/timeline /profilez /allocz /activityz "
+                          "/historyz\n");
+}
+
+HttpResponse RdfServer::HandleHealthz() {
+  std::string failing;
+  if (const obs::EventLog* events = store_->event_log()) {
+    const uint64_t drops = events->dropped();
+    std::lock_guard<std::mutex> lock(health_mu_);
+    if (drops > health_seen_drops_) {
+      failing += " event_log_drops=" +
+                 std::to_string(drops - health_seen_drops_);
+    }
+    health_seen_drops_ = drops;
+  }
+  failing += StoreHealthSignals(store_->metrics_registry());
+  if (const std::string overload = OverloadSignal(); !overload.empty()) {
+    failing += " " + overload;
+  }
+  if (failing.empty()) return TextResponse(200, "ok\n");
+  return TextResponse(503, "degraded:" + failing + "\n");
+}
+
+HttpResponse RdfServer::HandleVarz(const rdf::StoreView& view) {
+  const double uptime =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started_)
+          .count();
+  std::string extra;
+  if (const obs::EventLog* events = store_->event_log()) {
+    extra += ",\n \"events_appended\": " + std::to_string(events->appended());
+    extra += ",\n \"events_dropped\": " + std::to_string(events->dropped());
+  }
+  if (const obs::SlowQueryLog* slow = view.slow_query_log()) {
+    extra += ",\n \"slow_queries_captured\": " +
+             std::to_string(slow->captured());
+  }
+  if (const obs::Timeline* timeline = view.timeline()) {
+    extra += ",\n \"timeline_spans\": " + std::to_string(timeline->size());
+  }
+  const obs::MetricsRegistry& registry = store_->metrics_registry();
+  const obs::MetricsSnapshot cur = obs::TakeMetricsSnapshot(registry);
+  obs::MetricsSnapshot prev;
+  {
+    std::lock_guard<std::mutex> lock(varz_mu_);
+    prev = have_prev_ ? prev_snapshot_ : cur;
+    prev_snapshot_ = cur;
+    have_prev_ = true;
+  }
+  return JsonResponse(200,
+                      obs::RenderVarzJson(registry, prev, cur, uptime, extra));
+}
+
+HttpResponse RdfServer::HandleProfilez(const HttpRequest& request,
+                                       const CancelToken* token) {
+  // Blocking by design: sample the whole process and return flamegraph
+  // collapsed stacks. The window never outlasts the request's deadline,
+  // so a profile holds its worker no longer than any other request.
+  double seconds = kDefaultProfileSeconds;
+  if (std::optional<std::string> text =
+          FindParam(ParseQueryParams(request.query), "seconds")) {
+    char* end = nullptr;
+    const double requested = std::strtod(text->c_str(), &end);
+    if (end == text->c_str() || *end != '\0' || !std::isfinite(requested)) {
+      return TextResponse(400, "seconds must be a finite number\n");
+    }
+    if (requested > 0.0) seconds = requested;
+  }
+  if (token != nullptr) {
+    const double budget =
+        std::chrono::duration<double>(token->Remaining()).count();
+    // Floored at 1 ms: ProfileForSeconds reads a non-positive window as
+    // "use the default", which a spent budget must not turn into.
+    seconds = std::max(1e-3, std::min(seconds, budget));
+  }
+  return TextResponse(200, obs::ProfileForSeconds(seconds));
 }
 
 HttpResponse RdfServer::HandleQuery(const HttpRequest& request,
@@ -442,10 +575,8 @@ HttpResponse RdfServer::HandleInsert(const HttpRequest& request,
       model_id = live.GetModelId(*model);
     }
     RDFDB_RETURN_NOT_OK(model_id.status());
-    const size_t check_interval =
-        std::max<size_t>(1, options_.insert_check_interval);
     for (const rdf::NTriple& nt : *statements) {
-      if (token != nullptr && inserted % check_interval == 0 &&
+      if (token != nullptr && inserted % kInsertCheckInterval == 0 &&
           token->Expired()) {
         return token->StatusIfDone();
       }

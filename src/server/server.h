@@ -1,5 +1,6 @@
 // rdfdb_serve: the deadline-aware network front-end over a
-// SnapshotRdfStore.
+// SnapshotRdfStore, and the only code in rdfdb that opens, accepts,
+// parses or answers a socket.
 //
 // Architecture (DESIGN.md §16): one acceptor thread accepts and either
 // admits the connection into a bounded AdmissionQueue or sheds it with
@@ -20,18 +21,38 @@
 //        [&limit=N][&distinct=1][&threads=N]      rows as JSON
 //   POST /insert?model=<m>[&create=1]             N-Triples body
 //   POST /reify?model=<m>&id=<rdf_t_id>           reify a stored triple
-//   GET  /metrics /varz /healthz /slow /timeline /profilez /allocz
-//        /activityz /historyz                     delegated to the
-//                                                 embedded StatsServer
+//
+// Observability (GET only; every facility is the store's own, read
+// from the pinned version, so nothing is wired in twice):
+//   /metrics   Prometheus text exposition (scrape target)
+//   /varz      JSON: uptime, per-interval counter rates since the last
+//              scrape, full registry dump, event/slow-log/timeline counts
+//   /healthz   "ok\n", or 503 "degraded: <signals>\n" when the event
+//              log dropped entries since the last check, the oldest
+//              pinned epoch lags kUnhealthyEpochLag behind, a retired
+//              version has been unreclaimable for
+//              kUnhealthyRetentionAgeSeconds, or the server is shedding
+//              (OverloadSignal)
+//   /slow      slow-query log, JSON (404 when the store has none)
+//   /timeline  Chrome trace-event JSON (404 when the store has none)
+//   /profilez  ?seconds=N (default 2, 400 unless finite): sample the
+//              process at 100 Hz for N seconds, capped by the request's
+//              remaining deadline; flamegraph collapsed stacks
+//   /allocz    JSON: live heap + per-scope allocation attribution
+//   /activityz JSON: every in-flight operation with live cpu/alloc
+//   /historyz  JSON: the flight recorder's metric history ring (404
+//              without RdfServerOptions::recorder)
+// /metrics, /varz and /healthz refresh the store's memory, epoch-lag
+// and retention gauges first.
 //
 // Error protocol: 400 malformed request/params, 404 unknown path or
 // model, 413 over a parse cap, 503 shed (Retry-After set, body JSON
 // {"error":"overloaded",...}), 504 deadline exceeded (body JSON with
 // partial-progress stats), 499 accounted internally for
-// client-abandoned requests, 500 everything else. Success bodies are
-// JSON. Graceful drain: Shutdown() stops accepting, serves what was
-// admitted (their deadlines still bound them), joins every thread, and
-// flushes the event log.
+// client-abandoned requests, 500 everything else. Success bodies of the
+// data endpoints are JSON. Graceful drain: Shutdown() stops accepting,
+// serves what was admitted (their deadlines still bound them), joins
+// every thread, and flushes the store's event log.
 
 #ifndef RDFDB_SERVER_SERVER_H_
 #define RDFDB_SERVER_SERVER_H_
@@ -39,7 +60,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -47,14 +67,23 @@
 
 #include "common/cancel.h"
 #include "common/status.h"
-#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/stats_server.h"
+#include "obs/metrics_snapshot.h"
 #include "rdf/snapshot_store.h"
 #include "server/admission.h"
 #include "server/http.h"
 
+namespace rdfdb::obs {
+class FlightRecorder;
+}  // namespace rdfdb::obs
+
 namespace rdfdb::server {
+
+/// /healthz degrades while the oldest pinned reader lags this many
+/// epochs behind the published frontier...
+inline constexpr int64_t kUnhealthyEpochLag = 1024;
+/// ...or while a retired store version has been unreclaimable this long.
+inline constexpr int64_t kUnhealthyRetentionAgeSeconds = 60;
 
 struct RdfServerOptions {
   /// Listen port on 127.0.0.1 (0 = ephemeral, see port()).
@@ -67,14 +96,10 @@ struct RdfServerOptions {
   int64_t max_deadline_ms = 2000;
   /// Deadline when the client sends no X-Deadline-Ms.
   int64_t default_deadline_ms = 1000;
-  /// Retry-After seconds on a shed 503.
-  int retry_after_seconds = 1;
   /// Request parsing caps (413 beyond them).
   HttpLimits http_limits;
   /// Executor threads per /query (1 = sequential; 0 = auto).
   unsigned query_threads = 1;
-  /// Per-connection socket I/O timeout (<= 0 disables).
-  int io_timeout_ms = 5000;
   /// /healthz flips to degraded when, over the shed window's complete
   /// seconds, shed/(shed+admitted) >= this fraction and at least
   /// `unhealthy_shed_min` connections were shed (guards tiny samples).
@@ -82,15 +107,14 @@ struct RdfServerOptions {
   uint64_t unhealthy_shed_min = 8;
   /// Client hang-up poll cadence for the in-flight watcher.
   int watch_interval_ms = 10;
-  /// Statements between two deadline checks inside an insert batch.
-  size_t insert_check_interval = 1024;
-  /// Optional event log flushed on drain (non-owning).
-  obs::EventLog* event_log = nullptr;
-  /// Sources for the embedded stats router (slow-query log, timeline,
-  /// flight recorder, ...). registry/refresh default to the store's;
-  /// extra_health is always replaced with the server's overload signal.
-  obs::StatsServer::Sources stats_sources;
+  /// Optional flight recorder backing /historyz (non-owning).
+  const obs::FlightRecorder* recorder = nullptr;
 };
+
+/// The store half of the /healthz verdict, read from the gauges in
+/// `registry`: " epoch_lag=N" and/or " retention_age_seconds=N" for each
+/// gauge at or over its threshold, "" when both are under.
+std::string StoreHealthSignals(const obs::MetricsRegistry& registry);
 
 /// Per-server metric bundle, registered into the store's registry so
 /// the flight recorder and /metrics pick it up with no extra wiring.
@@ -138,8 +162,7 @@ class RdfServer {
 
   const ServerMetrics& metrics() const { return metrics_; }
 
-  /// The /healthz overload signal ("" = healthy), also installed as the
-  /// embedded stats server's extra_health hook.
+  /// The /healthz overload signal ("" = healthy).
   std::string OverloadSignal() const;
 
  private:
@@ -162,6 +185,14 @@ class RdfServer {
                             const CancelToken* token);
   HttpResponse HandleReify(const HttpRequest& request);
 
+  /// The observability GETs listed in the header comment.
+  HttpResponse HandleObservability(const HttpRequest& request,
+                                   const CancelToken* token);
+  HttpResponse HandleHealthz();
+  HttpResponse HandleVarz(const rdf::StoreView& view);
+  HttpResponse HandleProfilez(const HttpRequest& request,
+                              const CancelToken* token);
+
   /// Map a non-OK Status from store/query layers to the wire.
   HttpResponse ResponseForStatus(const Status& status,
                                  std::string partial_stats_json);
@@ -174,7 +205,14 @@ class RdfServer {
   ServerMetrics metrics_;
   AdmissionQueue queue_;
   ShedWindow shed_window_;
-  std::unique_ptr<obs::StatsServer> stats_;  ///< Handle() only, no socket
+  const std::chrono::steady_clock::time_point started_;
+
+  std::mutex varz_mu_;                 ///< guards the /varz interval state
+  obs::MetricsSnapshot prev_snapshot_;  ///< previous /varz scrape
+  bool have_prev_ = false;
+
+  std::mutex health_mu_;            ///< guards the drop watermark
+  uint64_t health_seen_drops_ = 0;  ///< event-log drops at last /healthz
 
   // Atomic because Shutdown() closes-and-invalidates the fd while the
   // acceptor thread is blocked in accept() on it.

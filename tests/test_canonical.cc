@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "rdf/vocab.h"
 
 namespace rdfdb::rdf {
@@ -12,6 +16,21 @@ struct CanonCase {
   const char* input;
   const char* expected;
 };
+
+void PrintTo(const CanonCase& c, std::ostream* os) {
+  const std::string datatype = c.datatype;
+  *os << c.input << "^^xsd:" << datatype.substr(datatype.find('#') + 1);
+}
+
+/// Stable test names: the case index plus the input with every
+/// character gtest does not allow in a name mapped to '_'.
+std::string CanonCaseName(const ::testing::TestParamInfo<CanonCase>& info) {
+  std::string name = std::to_string(info.index) + "_";
+  for (const char* c = info.param.input; *c != '\0'; ++c) {
+    name += std::isalnum(static_cast<unsigned char>(*c)) ? *c : '_';
+  }
+  return name;
+}
 
 class CanonicalFormTest : public ::testing::TestWithParam<CanonCase> {};
 
@@ -32,7 +51,8 @@ INSTANTIATE_TEST_SUITE_P(
         CanonCase{"http://www.w3.org/2001/XMLSchema#int", "-0", "0"},
         CanonCase{"http://www.w3.org/2001/XMLSchema#int", "000", "0"},
         CanonCase{"http://www.w3.org/2001/XMLSchema#integer", " 42 ", "42"},
-        CanonCase{"http://www.w3.org/2001/XMLSchema#long", "0009", "9"}));
+        CanonCase{"http://www.w3.org/2001/XMLSchema#long", "0009", "9"}),
+    CanonCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     Decimals, CanonicalFormTest,
@@ -44,7 +64,8 @@ INSTANTIATE_TEST_SUITE_P(
         CanonCase{"http://www.w3.org/2001/XMLSchema#decimal", "-0.50",
                   "-0.5"},
         CanonCase{"http://www.w3.org/2001/XMLSchema#decimal", "-0.0", "0"},
-        CanonCase{"http://www.w3.org/2001/XMLSchema#decimal", ".5", "0.5"}));
+        CanonCase{"http://www.w3.org/2001/XMLSchema#decimal", ".5", "0.5"}),
+    CanonCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     Booleans, CanonicalFormTest,
@@ -54,7 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
         CanonCase{"http://www.w3.org/2001/XMLSchema#boolean", "true",
                   "true"},
         CanonCase{"http://www.w3.org/2001/XMLSchema#boolean", "false",
-                  "false"}));
+                  "false"}),
+    CanonCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     Doubles, CanonicalFormTest,
@@ -65,7 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
                   "1e+02"},
         CanonCase{"http://www.w3.org/2001/XMLSchema#double", "100",
                   "1e+02"},
-        CanonCase{"http://www.w3.org/2001/XMLSchema#float", "0.5", "0.5"}));
+        CanonCase{"http://www.w3.org/2001/XMLSchema#float", "0.5", "0.5"}),
+    CanonCaseName);
 
 TEST(CanonicalFormEdgeTest, EquivalentFormsConverge) {
   // The purpose of CANON_END_NODE_ID: different lexical forms of the

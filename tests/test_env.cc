@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 namespace rdfdb::storage {
 namespace {
@@ -10,8 +11,12 @@ namespace {
 class EnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/rdfdb_env_test.dat";
-    path2_ = ::testing::TempDir() + "/rdfdb_env_test2.dat";
+    // Per-test names: ctest runs every case as its own process, in
+    // parallel, all sharing TempDir.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = ::testing::TempDir() + "/rdfdb_env_test_" + test + ".dat";
+    path2_ = ::testing::TempDir() + "/rdfdb_env_test2_" + test + ".dat";
     std::remove(path_.c_str());
     std::remove(path2_.c_str());
   }

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 namespace rdfdb::storage {
+
+// Found by argument-dependent lookup, so it must live in IndexKind's own
+// namespace; keeps "4-byte object <..>" out of the test names.
+void PrintTo(IndexKind kind, std::ostream* os) {
+  *os << (kind == IndexKind::kHash ? "Hash" : "Ordered");
+}
+
 namespace {
 
 ValueKey K(int64_t v) { return ValueKey{Value::Int64(v)}; }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "common/crc32c.h"
 
@@ -13,8 +14,13 @@ namespace {
 class RedoLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    snapshot_path_ = ::testing::TempDir() + "/rdfdb_redo_snap.bin";
-    log_path_ = ::testing::TempDir() + "/rdfdb_redo.log";
+    // Per-test names: ctest runs every case as its own process, in
+    // parallel, all sharing TempDir.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    snapshot_path_ =
+        ::testing::TempDir() + "/rdfdb_redo_snap_" + test + ".bin";
+    log_path_ = ::testing::TempDir() + "/rdfdb_redo_" + test + ".log";
     RemoveStoreFiles();
   }
 

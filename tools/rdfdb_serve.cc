@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   // register into, so rdfdb_server_* history shows up in /historyz.
   rdfdb::obs::FlightRecorder::Options recorder_options;
   recorder_options.registry = &store.metrics_registry();
-  recorder_options.events = event_log->get();
+  recorder_options.events = store.event_log();
   recorder_options.refresh = [&store] { store.UpdateMemoryGauges(); };
   if (!blackbox_path.empty()) {
     recorder_options.black_box_path = blackbox_path;
@@ -158,11 +158,9 @@ int main(int argc, char** argv) {
     rdfdb::obs::InstallCrashHandler((*recorder)->black_box());
   }
 
-  options.event_log = event_log->get();
-  options.stats_sources.slow_queries = &slow_queries;
-  options.stats_sources.timeline = &timeline;
-  options.stats_sources.events = event_log->get();
-  options.stats_sources.recorder = recorder->get();
+  // Everything else the observability routes read (registry, event
+  // log, slow-query log, timeline) the server takes from the store.
+  options.recorder = recorder->get();
 
   rdfdb::server::RdfServer server(&store, options);
   rdfdb::Status started = server.Start();
