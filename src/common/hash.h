@@ -23,6 +23,15 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+/// MurmurHash3 fmix64-style finalizer: spreads an integer key (a
+/// VALUE_ID, a precomputed hash) over all 64 bits for open addressing.
+inline uint64_t Mix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
 }  // namespace rdfdb
 
 #endif  // RDFDB_COMMON_HASH_H_

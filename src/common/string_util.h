@@ -4,6 +4,7 @@
 #define RDFDB_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,38 @@ bool ParseInt64(std::string_view s, int64_t* out);
 
 /// Parse a floating-point number; returns false on any non-numeric input.
 bool ParseDouble(std::string_view s, double* out);
+
+/// Escape the bytes of `*out` from `start` to its end, in place.
+/// `escape(c, buf)` writes the replacement for byte `c` into `buf` (at
+/// most 8 bytes, at least 2) and returns its length, or returns 0 to
+/// keep `c`. Text that needs no escape is scanned once and left alone;
+/// otherwise the string grows once, by exactly the extra bytes, and the
+/// range is rewritten back to front, so no scratch buffer is needed.
+template <typename EscapeFn>
+void EscapeInPlace(std::string* out, size_t start, EscapeFn&& escape) {
+  char buf[8];
+  const size_t end = out->size();
+  size_t extra = 0;
+  for (size_t i = start; i < end; ++i) {
+    const size_t n = escape((*out)[i], buf);
+    if (n != 0) extra += n - 1;
+  }
+  if (extra == 0) return;
+  out->resize(end + extra);
+  char* data = out->data();
+  // Once the write cursor meets the read cursor, everything before it
+  // needs no escape and is already in place.
+  for (size_t r = end, w = end + extra; w > r;) {
+    const char c = data[--r];
+    const size_t n = escape(c, buf);
+    if (n == 0) {
+      data[--w] = c;
+    } else {
+      w -= n;
+      std::memcpy(data + w, buf, n);
+    }
+  }
+}
 
 }  // namespace rdfdb
 

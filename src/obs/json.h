@@ -9,41 +9,51 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
+
+#include "common/string_util.h"
 
 namespace rdfdb::obs {
 
-/// Append `value` to `out` as a double-quoted JSON string, escaping
-/// quotes, backslashes and control characters.
-inline void AppendJsonString(const std::string& value, std::string* out) {
-  out->push_back('"');
-  for (char c : value) {
+/// JSON-escape `*out` from `start` to its end in place: quotes,
+/// backslashes and control characters (\n, \r, \t by name, the rest as
+/// \u00XX). Lets a writer render text straight into a buffer and escape
+/// it there, with no intermediate string.
+inline void EscapeJsonInPlace(std::string* out, size_t start) {
+  EscapeInPlace(out, start, [](char c, char* buf) -> size_t {
+    buf[0] = '\\';
     switch (c) {
       case '"':
-        *out += "\\\"";
-        break;
+        buf[1] = '"';
+        return 2;
       case '\\':
-        *out += "\\\\";
-        break;
+        buf[1] = '\\';
+        return 2;
       case '\n':
-        *out += "\\n";
-        break;
+        buf[1] = 'n';
+        return 2;
       case '\r':
-        *out += "\\r";
-        break;
+        buf[1] = 'r';
+        return 2;
       case '\t':
-        *out += "\\t";
-        break;
+        buf[1] = 't';
+        return 2;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) return 0;
+        std::snprintf(buf, 8, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        return 6;
     }
-  }
+  });
+}
+
+/// Append `value` to `out` as a double-quoted JSON string, escaping
+/// quotes, backslashes and control characters.
+inline void AppendJsonString(std::string_view value, std::string* out) {
+  out->push_back('"');
+  const size_t start = out->size();
+  out->append(value);
+  EscapeJsonInPlace(out, start);
   out->push_back('"');
 }
 

@@ -80,7 +80,8 @@ struct QueryTrace {
   uint64_t allocations = 0;
 
   // Stage wall times (ns). exec_ns covers the join loop including
-  // filtering and emission, so resolve_ns overlaps it.
+  // filtering and emission of VALUE_ID rows; resolve_ns is the Term
+  // adapter's id→term stage after it (zero for id-native matches).
   int64_t parse_ns = 0;
   int64_t plan_ns = 0;
   int64_t infer_ns = 0;

@@ -24,8 +24,6 @@ using rdf::StoreView;
 using rdf::Term;
 using rdf::ValueId;
 
-constexpr unsigned kMaxAutoThreads = 8;
-
 unsigned EffectiveThreads(unsigned requested) {
   if (requested != 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();

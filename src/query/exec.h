@@ -129,10 +129,15 @@ struct CompiledPlan {
 /// amortizes to noise). test_cancel pins this contract.
 inline constexpr size_t kCancelCheckIntervalRows = 1024;
 
+/// Worker-thread cap of threads = 0 ("one per hardware thread"). The
+/// server also clamps a client's explicit thread count to it.
+inline constexpr unsigned kMaxAutoThreads = 8;
+
 /// Execution tuning knobs.
 struct ExecOptions {
   /// Worker threads for the outer-pattern partition: 1 = sequential,
-  /// 0 = one per hardware thread (capped at 8, like the bulk loader).
+  /// 0 = one per hardware thread (capped at kMaxAutoThreads, like the
+  /// bulk loader).
   /// Parallel execution needs at least two steps; otherwise the run is
   /// sequential regardless.
   unsigned threads = 1;

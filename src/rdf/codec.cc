@@ -25,23 +25,19 @@ void FrontCodedPack::AppendTo(uint32_t idx, std::string* out) const {
   p = GetVarint32(p, &head_len);
   const char* head = reinterpret_cast<const char*>(p);
   p += head_len;
-  if (within == 0) {
-    out->append(head, head_len);
-    return;
-  }
-  // Reconstruct members 1..within by splicing suffixes onto the
-  // running string. Only the target's prefix matters, so members
-  // before it build into a scratch buffer.
-  std::string cur(head, head_len);
+  // Rebuild members 1..within in place at the end of `out`: each member
+  // keeps `shared` bytes of its predecessor and appends its suffix, so
+  // the running string never leaves the output buffer.
+  const size_t base = out->size();
+  out->append(head, head_len);
   for (uint32_t i = 1; i <= within; ++i) {
     uint32_t shared, suffix_len;
     p = GetVarint32(p, &shared);
     p = GetVarint32(p, &suffix_len);
-    cur.resize(shared);
-    cur.append(reinterpret_cast<const char*>(p), suffix_len);
+    out->resize(base + shared);
+    out->append(reinterpret_cast<const char*>(p), suffix_len);
     p += suffix_len;
   }
-  out->append(cur);
 }
 
 uint32_t FrontCodedPackBuilder::Add(std::string_view s) {

@@ -9,7 +9,8 @@
 //   * FrontCodedPack — sorted strings stored in blocks of 16 as one
 //     full head string plus (shared-prefix-length, suffix) pairs,
 //     replacing the per-entry std::string copies in TermDict. Get()
-//     materializes lazily by walking one block (≤ 15 suffix splices).
+//     materializes lazily by walking one block (≤ 15 suffix splices);
+//     AppendTo does the splices inside the caller's buffer.
 //
 // Both structures are immutable-once-shared: the COW quad-cache
 // discipline (LinkStore::MutableCache clones before the first mutation
@@ -234,7 +235,8 @@ class FrontCodedPack {
   /// Materialize string `idx` (walks its block from the head).
   std::string Get(uint32_t idx) const;
 
-  /// Append string `idx` to `*out` (saves an allocation in loops).
+  /// Append string `idx` to `*out`, rebuilding it inside `*out` (no
+  /// temporary string; bytes already in `*out` are kept).
   void AppendTo(uint32_t idx, std::string* out) const;
 
   /// Actual heap bytes owned (vector capacities).

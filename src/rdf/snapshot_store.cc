@@ -30,6 +30,10 @@ Result<Term> StoreVersion::TermForValueId(ValueId value_id) const {
   return dict_->TermForValueId(value_id);
 }
 
+Status StoreVersion::AppendNTriples(ValueId value_id, std::string* out) const {
+  return dict_->AppendNTriples(value_id, out);
+}
+
 LinkStore::LeafScan StoreVersion::Leaf(ModelId model_id) const {
   const LinkStore::ModelIdCache* cache = CacheFor(model_id);
   if (cache == nullptr) return LinkStore::LeafScan();

@@ -64,6 +64,7 @@ class StoreVersion : public StoreView {
   Result<ModelId> GetModelId(const std::string& model_name) const override;
   std::optional<ValueId> LookupValue(const Term& term) const override;
   Result<Term> TermForValueId(ValueId value_id) const override;
+  Status AppendNTriples(ValueId value_id, std::string* out) const override;
   LinkStore::LeafScan Leaf(ModelId model_id) const override;
   void MatchEachIds(ModelId model_id, std::optional<ValueId> s,
                     std::optional<ValueId> p, std::optional<ValueId> canon_o,

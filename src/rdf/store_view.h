@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "common/status.h"
 #include "rdf/link_store.h"
 #include "rdf/model_store.h"
 #include "rdf/term.h"
@@ -44,6 +45,17 @@ class StoreView {
 
   /// Reconstruct the term stored under `value_id`.
   virtual Result<Term> TermForValueId(ValueId value_id) const = 0;
+
+  /// Append the N-Triples form of the term stored under `value_id` to
+  /// `*out` (byte-identical to TermForValueId(value_id)->ToNTriples()).
+  /// The default builds the Term; a view with a term dictionary renders
+  /// straight from it.
+  virtual Status AppendNTriples(ValueId value_id, std::string* out) const {
+    RDFDB_ASSIGN_OR_RETURN(Term term, TermForValueId(value_id));
+    rdf::AppendNTriples(term.kind(), term.lexical(), term.language(),
+                        term.datatype(), out);
+    return Status::OK();
+  }
 
   /// Leaf-scan view of one model's quad cache; invalid when the model
   /// has no rows.

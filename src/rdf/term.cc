@@ -85,56 +85,35 @@ const char* Term::TypeCode() const {
   return "?";
 }
 
-namespace {
-
-std::string EscapeLiteral(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
+void EscapeNTriplesLiteral(std::string* out, size_t start) {
+  EscapeInPlace(out, start, [](char c, char* buf) -> size_t {
+    buf[0] = '\\';
     switch (c) {
       case '\\':
-        out += "\\\\";
-        break;
+        buf[1] = '\\';
+        return 2;
       case '"':
-        out += "\\\"";
-        break;
+        buf[1] = '"';
+        return 2;
       case '\n':
-        out += "\\n";
-        break;
+        buf[1] = 'n';
+        return 2;
       case '\r':
-        out += "\\r";
-        break;
+        buf[1] = 'r';
+        return 2;
       case '\t':
-        out += "\\t";
-        break;
+        buf[1] = 't';
+        return 2;
       default:
-        out.push_back(c);
+        return 0;
     }
-  }
-  return out;
+  });
 }
 
-}  // namespace
-
 std::string Term::ToNTriples() const {
-  switch (kind_) {
-    case TermKind::kUri:
-      return "<" + lexical_ + ">";
-    case TermKind::kBlankNode:
-      return "_:" + lexical_;
-    case TermKind::kPlainLiteral:
-    case TermKind::kPlainLongLiteral: {
-      std::string out = "\"" + EscapeLiteral(lexical_) + "\"";
-      if (!language_.empty()) out += "@" + language_;
-      return out;
-    }
-    case TermKind::kPlainLiteralLang:
-      return "\"" + EscapeLiteral(lexical_) + "\"@" + language_;
-    case TermKind::kTypedLiteral:
-    case TermKind::kTypedLongLiteral:
-      return "\"" + EscapeLiteral(lexical_) + "\"^^<" + datatype_ + ">";
-  }
-  return {};
+  std::string out;
+  AppendNTriples(kind_, lexical_, language_, datatype_, &out);
+  return out;
 }
 
 std::string Term::ToDisplayString() const {

@@ -6,6 +6,7 @@
 #define RDFDB_RDF_TERM_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -27,6 +28,54 @@ enum class TermKind {
   kPlainLongLiteral,  ///< "PLL"
   kTypedLongLiteral,  ///< "TLL"
 };
+
+/// Backslash-escape `*out` from `start` to its end in place, as an
+/// N-Triples literal body needs: \\, \", \n, \r, \t.
+void EscapeNTriplesLiteral(std::string* out, size_t start);
+
+/// The N-Triples writer: <uri>, _:label, "text", "text"@lang,
+/// "text"^^<dt>. The lexical form comes from `append_lexical(out)`,
+/// which appends it to `out` unescaped, so a dictionary can decode it
+/// straight into the output. A plain (long) literal carries its
+/// language tag when it has one.
+template <typename AppendLexical>
+void AppendNTriplesWith(TermKind kind, AppendLexical&& append_lexical,
+                        std::string_view language, std::string_view datatype,
+                        std::string* out) {
+  if (kind == TermKind::kUri) {
+    out->push_back('<');
+    append_lexical(out);
+    out->push_back('>');
+    return;
+  }
+  if (kind == TermKind::kBlankNode) {
+    out->append("_:");
+    append_lexical(out);
+    return;
+  }
+  out->push_back('"');
+  const size_t start = out->size();
+  append_lexical(out);
+  EscapeNTriplesLiteral(out, start);
+  out->push_back('"');
+  if (kind == TermKind::kTypedLiteral || kind == TermKind::kTypedLongLiteral) {
+    out->append("^^<");
+    out->append(datatype);
+    out->push_back('>');
+  } else if (kind == TermKind::kPlainLiteralLang || !language.empty()) {
+    out->push_back('@');
+    out->append(language);
+  }
+}
+
+/// AppendNTriplesWith for a lexical form already in memory.
+inline void AppendNTriples(TermKind kind, std::string_view lexical,
+                           std::string_view language,
+                           std::string_view datatype, std::string* out) {
+  AppendNTriplesWith(
+      kind, [lexical](std::string* o) { o->append(lexical); }, language,
+      datatype, out);
+}
 
 /// One RDF term. Immutable value type.
 class Term {

@@ -40,17 +40,17 @@ TermDict::~TermDict() {
 }
 
 uint64_t TermDict::BlankKey(int64_t model_id, const std::string& label) {
-  return Mix(HashCombine(static_cast<uint64_t>(model_id), Fnv1a64(label)));
+  return Mix64(HashCombine(static_cast<uint64_t>(model_id), Fnv1a64(label)));
 }
 
 uint64_t TermDict::KeyFor(TableKind kind, const Entry& entry) const {
   switch (kind) {
     case TableKind::kId:
-      return Mix(static_cast<uint64_t>(entry.id));
+      return Mix64(static_cast<uint64_t>(entry.id));
     case TableKind::kBlank:
       return BlankKey(entry.bn_model, entry.bn_label);
     case TableKind::kTerm:
-      return Mix(entry.term_hash);
+      return Mix64(entry.term_hash);
   }
   return 0;
 }
@@ -256,7 +256,7 @@ std::optional<ValueId> TermDict::Lookup(const Term& term) const {
   if (term.is_blank()) return std::nullopt;
   const HashTable* table = term_table_.load(std::memory_order_acquire);
   const uint64_t hash = term.Hash();
-  const uint64_t key = Mix(hash);
+  const uint64_t key = Mix64(hash);
   for (size_t i = key & table->mask;; i = (i + 1) & table->mask) {
     const uint64_t v = table->slots[i].load(std::memory_order_acquire);
     if (v == 0) return std::nullopt;
@@ -285,17 +285,35 @@ std::optional<ValueId> TermDict::LookupBlank(
   }
 }
 
-Result<Term> TermDict::TermForValueId(ValueId value_id) const {
+const TermDict::Entry* TermDict::FindById(ValueId value_id) const {
   const HashTable* table = id_table_.load(std::memory_order_acquire);
-  const uint64_t key = Mix(static_cast<uint64_t>(value_id));
+  const uint64_t key = Mix64(static_cast<uint64_t>(value_id));
   for (size_t i = key & table->mask;; i = (i + 1) & table->mask) {
     const uint64_t v = table->slots[i].load(std::memory_order_acquire);
-    if (v == 0) {
-      return Status::NotFound("VALUE_ID " + std::to_string(value_id));
-    }
+    if (v == 0) return nullptr;
     const Entry& entry = EntryAt(v - 1);
-    if (entry.id == value_id) return MaterializeTerm(entry);
+    if (entry.id == value_id) return &entry;
   }
+}
+
+Result<Term> TermDict::TermForValueId(ValueId value_id) const {
+  const Entry* entry = FindById(value_id);
+  if (entry == nullptr) {
+    return Status::NotFound("VALUE_ID " + std::to_string(value_id));
+  }
+  return MaterializeTerm(*entry);
+}
+
+Status TermDict::AppendNTriples(ValueId value_id, std::string* out) const {
+  const Entry* entry = FindById(value_id);
+  if (entry == nullptr) {
+    return Status::NotFound("VALUE_ID " + std::to_string(value_id));
+  }
+  AppendNTriplesWith(
+      entry->kind,
+      [entry](std::string* o) { entry->pack->AppendTo(entry->pack_slot, o); },
+      entry->language, entry->datatype, out);
+  return Status::OK();
 }
 
 }  // namespace rdfdb::rdf

@@ -29,9 +29,10 @@
 // prefix + suffix, see rdf/codec.h), and entries carry (pack, slot)
 // references plus the term's 64-bit hash. Probes reject on the hash
 // and materialize a candidate's text only on a hash match, so the
-// lazy decode sits entirely behind the existing lookup API. Packs are
-// writer-owned, immutable once built, and published before any entry
-// referencing them, so readers may decode them freely.
+// lazy decode sits entirely behind the existing lookup API, and
+// AppendNTriples renders a term from its pack without building it.
+// Packs are writer-owned, immutable once built, and published before
+// any entry referencing them, so readers may decode them freely.
 
 #ifndef RDFDB_RDF_TERM_DICT_H_
 #define RDFDB_RDF_TERM_DICT_H_
@@ -79,6 +80,12 @@ class TermDict {
   /// semantics, including its NotFound message).
   Result<Term> TermForValueId(ValueId value_id) const;
 
+  /// Append the N-Triples form of the term stored under `value_id` to
+  /// `*out`, decoded straight from its front-coded pack: no Term, no
+  /// temporary string. Byte-identical to TermForValueId(...)->ToNTriples();
+  /// NotFound as TermForValueId.
+  Status AppendNTriples(ValueId value_id, std::string* out) const;
+
   /// Entries ingested so far.
   size_t size() const {
     return count_.load(std::memory_order_acquire);
@@ -124,6 +131,9 @@ class TermDict {
     size_t count = 0;  ///< writer-side occupancy
   };
 
+  /// The entry published under `value_id`; null if none.
+  const Entry* FindById(ValueId value_id) const;
+
   const Entry& EntryAt(size_t index) const {
     return (*chunks_[index >> kChunkShift].load(
         std::memory_order_acquire))[index & (kChunkSize - 1)];
@@ -142,12 +152,6 @@ class TermDict {
   /// The probe key an entry carries in a given table.
   uint64_t KeyFor(TableKind kind, const Entry& entry) const;
 
-  static uint64_t Mix(uint64_t h) {
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h;
-  }
   static uint64_t BlankKey(int64_t model_id, const std::string& label);
 
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};

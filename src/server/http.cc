@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -199,7 +200,7 @@ Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits) {
   return req;
 }
 
-std::string RenderHttpResponse(const HttpResponse& response) {
+std::string RenderHttpHead(const HttpResponse& response) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     HttpStatusText(response.status) + "\r\n";
   out += "Content-Type: " + response.content_type + "\r\n";
@@ -208,8 +209,42 @@ std::string RenderHttpResponse(const HttpResponse& response) {
   }
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
-  out += response.body;
   return out;
+}
+
+std::string RenderHttpResponse(const HttpResponse& response) {
+  return RenderHttpHead(response) + response.body;
+}
+
+void SendHttpResponse(int fd, const HttpResponse& response) {
+  const std::string head = RenderHttpHead(response);
+  iovec parts[2] = {
+      {const_cast<char*>(head.data()), head.size()},
+      {const_cast<char*>(response.body.data()), response.body.size()}};
+  iovec* iov = parts;
+  int iovcnt = response.body.empty() ? 1 : 2;
+  while (iovcnt > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iovcnt);
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return;
+    }
+    // Drop what was sent: whole parts first, then the front of the
+    // partly sent one.
+    size_t sent = static_cast<size_t>(n);
+    while (iovcnt > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --iovcnt;
+    }
+    if (iovcnt > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
+  }
 }
 
 HttpResponse ResponseForParseError(const Status& status) {

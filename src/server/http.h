@@ -75,8 +75,17 @@ Result<HttpRequest> ParseHttpRequestHead(std::string_view head);
 /// (no response owed).
 Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits);
 
-/// Serialize status line + headers + body, Connection: close.
+/// Serialize the status line and headers (Content-Length from the
+/// body, Connection: close), up to and including the blank line.
+std::string RenderHttpHead(const HttpResponse& response);
+
+/// RenderHttpHead + body as one string.
 std::string RenderHttpResponse(const HttpResponse& response);
+
+/// Send head and body with sendmsg over two iovecs, so the body goes
+/// out of its own buffer with no copy (EINTR-safe, resumes partial
+/// sends; gives up on other errors).
+void SendHttpResponse(int fd, const HttpResponse& response);
 
 /// Map a parse error from ReadHttpRequest to the response it earned
 /// (400 or 413, with the status message as the body).

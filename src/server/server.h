@@ -19,6 +19,11 @@
 // Endpoints:
 //   GET  /query?q=<patterns>&model=<m>[&model=..][&filter=..]
 //        [&limit=N][&distinct=1][&threads=N]      rows as JSON
+//        (limit and threads: non-negative integers, else 400; threads
+//        is clamped to query::kMaxAutoThreads). Rows are rendered id by
+//        id from the pinned version's term dictionary into the body,
+//        with a per-response memo of cells already rendered, and the
+//        body is sent from its own buffer (no Term per cell, no copy).
 //   POST /insert?model=<m>[&create=1]             N-Triples body
 //   POST /reify?model=<m>&id=<rdf_t_id>           reify a stored triple
 //
@@ -115,6 +120,12 @@ struct RdfServerOptions {
 /// `registry`: " epoch_lag=N" and/or " retention_age_seconds=N" for each
 /// gauge at or over its threshold, "" when both are under.
 std::string StoreHealthSignals(const obs::MetricsRegistry& registry);
+
+/// Append one /query result cell: the N-Triples form of `value_id` as a
+/// JSON string, rendered from `view` straight into `*out` and escaped
+/// there. NotFound when `view` has no such id.
+Status AppendJsonNTriples(const rdf::StoreView& view, rdf::ValueId value_id,
+                          std::string* out);
 
 /// Per-server metric bundle, registered into the store's registry so
 /// the flight recorder and /metrics pick it up with no extra wiring.

@@ -301,5 +301,37 @@ TEST(FrontCodedPackTest, FuzzRandomStrings) {
   }
 }
 
+TEST(FrontCodedPackTest, AppendToRebuildsEverySlotAfterExistingBytes) {
+  // Two full blocks plus a partial one; members share prefixes of
+  // varying length with their predecessor (including none, and the
+  // whole predecessor), so every splice shape occurs in a block.
+  std::vector<std::string> strings;
+  for (int i = 0; i < 40; ++i) {
+    std::string s = "http://ex.org/" + std::string(static_cast<size_t>(i % 5),
+                                                    'a');
+    s += std::to_string(1000 + i * 7);
+    if (i % 9 == 0) s = std::string(1, static_cast<char>('b' + i / 9)) + s;
+    strings.push_back(std::move(s));
+  }
+  std::sort(strings.begin(), strings.end());
+  FrontCodedPackBuilder builder;
+  for (const std::string& s : strings) builder.Add(s);
+  FrontCodedPack pack = builder.Build();
+  ASSERT_EQ(pack.size(), strings.size());
+  for (uint32_t idx = 0; idx < pack.size(); ++idx) {
+    // A prefix longer than any shared-prefix length, so a splice that
+    // truncated relative to the buffer start would eat into it.
+    std::string out = "keep me: " + std::string(64, '#');
+    const std::string prefix = out;
+    pack.AppendTo(idx, &out);
+    EXPECT_EQ(out, prefix + strings[idx])
+        << "slot " << idx % FrontCodedPack::kBlockSize << " of block "
+        << idx / FrontCodedPack::kBlockSize;
+    // Appending again keeps both copies.
+    pack.AppendTo(idx, &out);
+    EXPECT_EQ(out, prefix + strings[idx] + strings[idx]);
+  }
+}
+
 }  // namespace
 }  // namespace rdfdb::rdf::codec

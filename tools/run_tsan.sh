@@ -27,7 +27,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   test_metrics test_codec \
   test_exec_diff test_event_log test_span_timeline test_slow_query_log \
   test_resource_tracker test_profiler test_memory_accounting \
-  test_flight_recorder test_cancel test_server test_obs_routes
+  test_flight_recorder test_cancel test_server test_obs_routes test_render
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_bulk_load
@@ -56,6 +56,10 @@ TSAN_OPTIONS="report_signal_unsafe=0 $TSAN_OPTIONS" \
 # front-end, including mid-flight SIGTERM drain (test_server).
 "$BUILD_DIR"/tests/test_cancel
 "$BUILD_DIR"/tests/test_server
+# Id-native /query rendering: pinned readers decode N-Triples straight
+# from the term dictionary's front-coded packs while the writer's
+# publishes run TermDict::Ingest (test_render).
+"$BUILD_DIR"/tests/test_render
 # The observability routes run on the worker threads: the /varz and
 # /healthz state behind their mutexes, the gauge refresh racing the
 # writer, and /profilez (SIGPROF + backtrace, hence the same
