@@ -102,6 +102,10 @@ StoreMetrics::StoreMetrics(MetricsRegistry* reg) : registry(reg) {
       "rdfdb_publish_ns",
       "store-version publish latency: build + swap + sweep (ns)",
       DefaultLatencyBucketsNs());
+  cow_copied_bytes = reg->RegisterCounter(
+      "rdfdb_cow_copied_bytes_total",
+      "quad-cache chunk and shard bytes copied by writes because a "
+      "published version still shared them");
   retired_versions = reg->RegisterGauge(
       "rdfdb_retired_versions_outstanding",
       "store versions retired but still pinned by a reader epoch");

@@ -71,6 +71,8 @@ struct StoreMetrics {
   // Snapshot-store version publishing (epoch-based read path).
   Counter* versions_published;   ///< StoreVersions swapped in
   Histogram* publish_ns;         ///< build + swap + sweep latency
+  Counter* cow_copied_bytes;     ///< quad-cache chunk/shard bytes copied
+                                 ///< by writes (copy-on-write volume)
   Gauge* retired_versions;       ///< retired-but-not-yet-freed versions
   Gauge* epoch_lag;              ///< current epoch minus oldest pinned
   Gauge* retention_age_seconds;  ///< age of the oldest retired version

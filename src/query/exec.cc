@@ -214,7 +214,7 @@ class StepRunner {
     const std::optional<ValueId> s = Constraint(step.s);
     const std::optional<ValueId> p = Constraint(step.p);
     const std::optional<ValueId> o = Constraint(step.o);
-    const rdf::LinkStore::IdQuad* quads = leaf_.quads();
+    const rdf::LinkStore::QuadArray& quads = leaf_.quads();
 
     // Residual compares double as the tombstone guard: a deleted
     // quad's ids are all -1 and no query carries a negative id.

@@ -13,9 +13,9 @@
 //     AppendTo does the splices inside the caller's buffer.
 //
 // Both structures are immutable-once-shared: the COW quad-cache
-// discipline (LinkStore::MutableCache clones before the first mutation
-// after a ShareCaches()) means readers only ever see fully-published
-// bytes, so neither structure needs atomics of its own.
+// discipline (a write copies the posting shard it touches while a
+// published version still shares it) means readers only ever see
+// fully-published bytes, so neither structure needs atomics of its own.
 
 #ifndef RDFDB_RDF_CODEC_H_
 #define RDFDB_RDF_CODEC_H_

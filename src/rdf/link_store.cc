@@ -121,9 +121,10 @@ void LinkStore::RebuildCache() {
   });
 }
 
-LinkStore::SpMap::Slot& LinkStore::SpMap::SlotFor(ValueId s, ValueId p) {
+LinkStore::SpMap::Slot& LinkStore::SpMap::SlotFor(ValueId s, ValueId p,
+                                                  uint64_t hash) {
   size_t first_gone = SIZE_MAX;
-  for (size_t i = IndexFor(s, p);; i = (i + 1) & mask_) {
+  for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
     Slot& slot = slots_[i];
     if (slot.s == kEmpty) {
       return first_gone != SIZE_MAX ? slots_[first_gone] : slot;
@@ -142,23 +143,25 @@ void LinkStore::SpMap::Grow() {
   for (const Slot& slot : old) {
     if (slot.s >= 0) ++live;
   }
-  size_t capacity = 64;
-  while (capacity < 2 * (live + 8)) capacity <<= 1;
+  // One shard of kShardCount: start small so a small model's index
+  // stays small.
+  size_t capacity = 8;
+  while (capacity < 2 * (live + 1)) capacity <<= 1;
   slots_.assign(capacity, Slot{});
   mask_ = capacity - 1;
   used_ = live;
   for (const Slot& slot : old) {
     if (slot.s < 0) continue;
-    size_t i = IndexFor(slot.s, slot.p);
+    size_t i = Hash(slot.s, slot.p) & mask_;
     while (slots_[i].s != kEmpty) i = (i + 1) & mask_;
     slots_[i] = slot;
   }
 }
 
-void LinkStore::SpMap::Insert(ValueId s, ValueId p, uint32_t idx, ValueId o,
-                              ValueId canon_o) {
+void LinkStore::SpMap::Insert(ValueId s, ValueId p, uint64_t hash,
+                              uint32_t idx, ValueId o, ValueId canon_o) {
   if (slots_.empty() || (used_ + 1) * 10 >= slots_.size() * 7) Grow();
-  Slot& slot = SlotFor(s, p);
+  Slot& slot = SlotFor(s, p, hash);
   if (slot.s < 0) {
     if (slot.s == kEmpty) ++used_;  // tombstone reuse keeps used_ flat
     slot.s = s;
@@ -169,25 +172,32 @@ void LinkStore::SpMap::Insert(ValueId s, ValueId p, uint32_t idx, ValueId o,
     slot.canon_o = canon_o;
     return;
   }
+  std::vector<uint32_t>* rows;
+  size_t before = 0;
   if (slot.overflow < 0) {
     int32_t ref;
     if (!free_overflow_.empty()) {
       ref = free_overflow_.back();
       free_overflow_.pop_back();
-      overflow_[ref] = {slot.head, idx};
+      rows = &overflow_[ref];
+      before = rows->capacity();
+      *rows = {slot.head, idx};
     } else {
       ref = static_cast<int32_t>(overflow_.size());
-      overflow_.push_back({slot.head, idx});
+      rows = &overflow_.emplace_back(std::vector<uint32_t>{slot.head, idx});
     }
     slot.overflow = ref;
   } else {
-    overflow_[slot.overflow].push_back(idx);
+    rows = &overflow_[slot.overflow];
+    before = rows->capacity();
+    rows->push_back(idx);
   }
+  list_bytes_ += (rows->capacity() - before) * sizeof(uint32_t);
 }
 
-void LinkStore::SpMap::Erase(ValueId s, ValueId p, uint32_t idx,
-                             const std::vector<IdQuad>& quads) {
-  for (size_t i = IndexFor(s, p);; i = (i + 1) & mask_) {
+void LinkStore::SpMap::Erase(ValueId s, ValueId p, uint64_t hash,
+                             uint32_t idx, const QuadArray& quads) {
+  for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
     Slot& slot = slots_[i];
     if (slot.s == kEmpty) return;
     if (slot.s != s || slot.p != p) continue;
@@ -195,6 +205,7 @@ void LinkStore::SpMap::Erase(ValueId s, ValueId p, uint32_t idx,
       slot.s = kGone;
       return;
     }
+    // Erase and clear keep the list's capacity, so list_bytes_ holds.
     std::vector<uint32_t>& rows = overflow_[slot.overflow];
     rows.erase(std::find(rows.begin(), rows.end(), idx));
     if (rows.size() == 1) {
@@ -210,95 +221,111 @@ void LinkStore::SpMap::Erase(ValueId s, ValueId p, uint32_t idx,
   }
 }
 
-void LinkStore::ModelIdCache::PostingAppend(PostingMap* postings, ValueId key,
-                                            uint32_t idx) {
-  codec::PostingList& list = (*postings)[key];
-  posting_heap_bytes -= list.ApproxBytes();
-  list.Append(idx);
-  posting_heap_bytes += list.ApproxBytes();
+void LinkStore::SpMap::Recount() {
+  list_bytes_ = 0;
+  for (const std::vector<uint32_t>& rows : overflow_) {
+    list_bytes_ += rows.capacity() * sizeof(uint32_t);
+  }
 }
+
+namespace {
+
+/// First by_link position whose LINK_ID is >= `link_id`.
+template <typename Links>
+size_t LinkLowerBound(const Links& by_link, LinkId link_id) {
+  size_t lo = 0, hi = by_link.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (by_link[mid].first < link_id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
 
 void LinkStore::ModelIdCache::Append(const IdQuad& quad, uint32_t row_id,
                                      bool implied) {
   const uint32_t idx = static_cast<uint32_t>(quads.size());
-  quads.push_back(quad);
-  row_ids.push_back(row_id);
-  PostingAppend(&by_s, quad.s, idx);
-  by_sp.Insert(quad.s, quad.p, idx, quad.o, quad.canon_o);
-  PostingAppend(&by_canon, quad.canon_o, idx);
-  PostingAppend(&by_p, quad.p, idx);
+  quads.PushBack(quad);
+  row_ids.PushBack(row_id);
+  auto append = [&](PostingIndex* index, ValueId key) {
+    index->Edit(PostingShard::Hash(key), &ledger,
+                [&](PostingShard& shard) { shard.Append(key, idx); });
+  };
+  append(&by_s, quad.s);
+  const uint64_t sp_hash = SpMap::Hash(quad.s, quad.p);
+  by_sp.Edit(sp_hash, &ledger, [&](SpMap& shard) {
+    shard.Insert(quad.s, quad.p, sp_hash, idx, quad.o, quad.canon_o);
+  });
+  append(&by_canon, quad.canon_o);
+  append(&by_p, quad.p);
   // Link ids come off an ascending sequence, so creation order is id
   // order and by_link stays sorted with a plain append. A snapshot
   // restore replays rows in id order too; tolerate stragglers anyway.
+  const std::pair<LinkId, uint32_t> entry{quad.link_id, idx};
   if (by_link.empty() || by_link.back().first < quad.link_id) {
-    by_link.emplace_back(quad.link_id, idx);
+    by_link.PushBack(entry);
   } else {
-    auto it = std::upper_bound(
-        by_link.begin(), by_link.end(), quad.link_id,
-        [](LinkId id, const auto& e) { return id < e.first; });
-    by_link.insert(it, {quad.link_id, idx});
+    by_link.Insert(LinkLowerBound(by_link, quad.link_id + 1), entry,
+                   &ledger);
   }
   if (implied) implied_count += 1;
 }
 
 int64_t LinkStore::ModelIdCache::IndexOfLink(LinkId link_id) const {
-  auto it = std::lower_bound(
-      by_link.begin(), by_link.end(), link_id,
-      [](const auto& e, LinkId id) { return e.first < id; });
-  if (it == by_link.end() || it->first != link_id || it->second == kDeadIdx) {
+  const size_t pos = LinkLowerBound(by_link, link_id);
+  if (pos == by_link.size() || by_link[pos].first != link_id ||
+      by_link[pos].second == kDeadIdx) {
     return -1;
   }
-  return static_cast<int64_t>(it->second);
+  return static_cast<int64_t>(by_link[pos].second);
 }
 
 void LinkStore::ModelIdCache::Tombstone(uint32_t idx, bool implied) {
-  const IdQuad& q = quads[idx];
+  const IdQuad q = quads[idx];
   // SpMap entries are exact (Erase edits the overflow list in place),
   // so remove before the quad's fields are wiped — the collapse path
   // reads the surviving sibling's quad.
-  by_sp.Erase(q.s, q.p, idx, quads);
-  auto it = std::lower_bound(
-      by_link.begin(), by_link.end(), q.link_id,
-      [](const auto& e, LinkId id) { return e.first < id; });
-  if (it != by_link.end() && it->first == q.link_id) it->second = kDeadIdx;
+  const uint64_t sp_hash = SpMap::Hash(q.s, q.p);
+  by_sp.Edit(sp_hash, &ledger, [&](SpMap& shard) {
+    shard.Erase(q.s, q.p, sp_hash, idx, quads);
+  });
+  const size_t pos = LinkLowerBound(by_link, q.link_id);
+  if (pos < by_link.size() && by_link[pos].first == q.link_id) {
+    by_link.Mutable(pos, &ledger).second = kDeadIdx;
+  }
   // Stale posting entries stay behind; a dead quad's -1 ids fail every
   // residual compare, and unfiltered scans check Dead() explicitly.
-  quads[idx] = IdQuad{-1, -1, -1, -1, -1};
+  quads.Mutable(idx, &ledger) = IdQuad{-1, -1, -1, -1, -1};
   dead_count += 1;
   if (implied && implied_count > 0) implied_count -= 1;
 }
 
 void LinkStore::ModelIdCache::Compact() {
-  std::vector<IdQuad> old_quads = std::move(quads);
-  std::vector<uint32_t> old_rows = std::move(row_ids);
-  quads.clear();
-  row_ids.clear();
-  quads.reserve(old_quads.size() - dead_count);
-  row_ids.reserve(old_quads.size() - dead_count);
-  by_s.clear();
-  by_canon.clear();
-  by_p.clear();
-  by_link.clear();
-  by_sp = SpMap();
-  posting_heap_bytes = 0;
-  dead_count = 0;
-  const size_t implied = implied_count;
-  implied_count = 0;
-  for (size_t i = 0; i < old_quads.size(); ++i) {
-    if (Dead(old_quads[i])) continue;
-    Append(old_quads[i], old_rows[i], /*implied=*/false);
+  // Build into fresh chunks and shards: the old ones may still be
+  // shared with published versions, and every index is renumbered.
+  ModelIdCache fresh;
+  for (size_t i = 0; i < quads.size(); ++i) {
+    if (Dead(quads[i])) continue;
+    fresh.Append(quads[i], row_ids[i], /*implied=*/false);
   }
-  implied_count = implied;  // tombstones already adjusted it
+  fresh.implied_count = implied_count;  // tombstones already adjusted it
+  *this = std::move(fresh);
 }
 
-void LinkStore::ModelIdCache::RecomputePostingBytes() {
-  posting_heap_bytes = 0;
-  for (const auto* postings : {&by_s, &by_canon, &by_p}) {
-    for (const auto& [key, list] : *postings) {
-      (void)key;
-      posting_heap_bytes += list.ApproxBytes();
-    }
-  }
+size_t LinkStore::ModelIdCache::UnsharedBytes(
+    const ModelIdCache& newer) const {
+  if (this == &newer) return 0;
+  return sizeof(ModelIdCache) + quads.UnsharedBytes(newer.quads) +
+         row_ids.UnsharedBytes(newer.row_ids) +
+         by_link.UnsharedBytes(newer.by_link) +
+         by_s.UnsharedBytes(newer.by_s) + by_sp.UnsharedBytes(newer.by_sp) +
+         by_canon.UnsharedBytes(newer.by_canon) +
+         by_p.UnsharedBytes(newer.by_p);
 }
 
 LinkStore::LeafScan LinkStore::Leaf(int64_t model_id) const {
@@ -316,18 +343,26 @@ LinkStore::ModelIdCache& LinkStore::MutableCache(int64_t model_id) {
     slot = std::make_shared<ModelIdCache>();
   } else if (slot.use_count() > 1) {
     // A published snapshot still reads the current object: mutate a
-    // clone instead (only the serialized writer runs here, so the
-    // use_count answer is stable). The clone's copied vectors are
-    // capacity-tight, so the byte ledger must be re-derived.
+    // copy instead (only the serialized writer runs here, so the
+    // use_count answer is stable). The copy shares every chunk and
+    // shard, and its byte ledger is exact as copied.
     slot = std::make_shared<ModelIdCache>(*slot);
-    slot->RecomputePostingBytes();
   }
   return *slot;
 }
 
+void LinkStore::DrainCopiedBytes(ModelIdCache* cache) {
+  if (metrics_ != nullptr && cache->ledger.copied_bytes > 0) {
+    metrics_->cow_copied_bytes->Inc(cache->ledger.copied_bytes);
+  }
+  cache->ledger.copied_bytes = 0;
+}
+
 void LinkStore::CacheInsert(int64_t model_id, const IdQuad& quad,
                             storage::RowId row_id, bool implied) {
-  MutableCache(model_id).Append(quad, static_cast<uint32_t>(row_id), implied);
+  ModelIdCache& cache = MutableCache(model_id);
+  cache.Append(quad, static_cast<uint32_t>(row_id), implied);
+  DrainCopiedBytes(&cache);
 }
 
 void LinkStore::CacheContextUpgrade(int64_t model_id) {
@@ -336,18 +371,14 @@ void LinkStore::CacheContextUpgrade(int64_t model_id) {
 }
 
 void LinkStore::CacheErase(int64_t model_id, LinkId link_id, bool implied) {
-  auto mit = id_cache_.find(model_id);
-  if (mit == id_cache_.end()) return;
-  if (mit->second.use_count() > 1) {
-    mit->second = std::make_shared<ModelIdCache>(*mit->second);
-    mit->second->RecomputePostingBytes();
-  }
-  ModelIdCache& cache = *mit->second;
+  if (id_cache_.count(model_id) == 0) return;
+  ModelIdCache& cache = MutableCache(model_id);
   int64_t idx = cache.IndexOfLink(link_id);
   if (idx < 0) return;
   cache.Tombstone(static_cast<uint32_t>(idx), implied);
+  DrainCopiedBytes(&cache);
   if (cache.live_count() == 0) {
-    id_cache_.erase(mit);
+    id_cache_.erase(model_id);
   } else if (cache.ShouldCompact()) {
     cache.Compact();
   }
@@ -700,7 +731,7 @@ void LinkStore::MatchCache(
   // Preserve the single-row (s, p) fast path: the answer is inline in
   // the hash slot, no quad array touch.
   if (s.has_value() && p.has_value()) {
-    SpMap::Hit hit = cache.by_sp.Probe(*s, *p);
+    SpMap::Hit hit = cache.ProbeSp(*s, *p);
     if (hit.n == 0) return;
     if (hit.n == 1) {
       if (scans != nullptr) scans->Inc();
@@ -738,7 +769,7 @@ void LinkStore::MatchCacheIndexes(
   // chain joins — is answered from the SpMap, whose lists are exact
   // (no tombstones).
   if (s.has_value() && p.has_value()) {
-    SpMap::Hit hit = cache.by_sp.Probe(*s, *p);
+    SpMap::Hit hit = cache.ProbeSp(*s, *p);
     if (hit.n == 1) {
       if (scans != nullptr) scans->Inc();
       if (canon_o.has_value() && hit.canon_o != *canon_o) return;
@@ -751,23 +782,13 @@ void LinkStore::MatchCacheIndexes(
     return;
   }
 
-  const codec::PostingList* postings = nullptr;
-  if (s.has_value()) {
-    auto it = cache.by_s.find(*s);
-    if (it == cache.by_s.end()) return;
-    postings = &it->second;
-  } else if (canon_o.has_value()) {
-    auto it = cache.by_canon.find(*canon_o);
-    if (it == cache.by_canon.end()) return;
-    postings = &it->second;
-  } else if (p.has_value()) {
-    auto it = cache.by_p.find(*p);
-    if (it == cache.by_p.end()) return;
-    postings = &it->second;
-  }
-
-  if (postings != nullptr) {
-    postings->ForEach(visit);
+  if (s.has_value() || canon_o.has_value() || p.has_value()) {
+    const codec::PostingList* postings =
+        s.has_value() ? ModelIdCache::FindPostings(cache.by_s, *s)
+        : canon_o.has_value()
+            ? ModelIdCache::FindPostings(cache.by_canon, *canon_o)
+            : ModelIdCache::FindPostings(cache.by_p, *p);
+    if (postings != nullptr) postings->ForEach(visit);
     return;
   }
   for (uint32_t idx = 0; idx < cache.quads.size(); ++idx) {

@@ -9,6 +9,8 @@
 #ifndef RDFDB_RDF_LINK_STORE_H_
 #define RDFDB_RDF_LINK_STORE_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -177,13 +179,180 @@ class LinkStore {
     LinkId link_id;
   };
 
+  /// Copy-on-write granularity of the quad cache (DESIGN.md §12): the
+  /// per-quad arrays are cut into chunks of kChunkSize elements and the
+  /// hash indexes into kShardCount shards, each held by shared_ptr. A
+  /// write copies a chunk or shard only while a published version still
+  /// shares it, so its cost is bounded by what it touches, not by the
+  /// model's size.
+  static constexpr uint32_t kChunkBits = 12;
+  static constexpr uint32_t kChunkSize = 1u << kChunkBits;  ///< 4096
+  static constexpr uint32_t kShardBits = 8;
+  static constexpr size_t kShardCount = size_t{1} << kShardBits;  ///< 256
+
+  /// Writer-side byte accounting of one cache, carried across copies.
+  struct CacheLedger {
+    size_t index_bytes = 0;   ///< Bytes() of every hash shard, summed
+    size_t copied_bytes = 0;  ///< chunk/shard bytes copied, not yet
+                              ///< drained into rdfdb_cow_copied_bytes_total
+  };
+
+  /// Append-mostly array stored as shared fixed-size chunks. Readers
+  /// index it like a vector; copying it copies only the chunk pointers.
+  /// Mutable copies a chunk first when another copy of the array still
+  /// holds it (only the serialized writer copies or drops these
+  /// pointers, so use_count() is stable when it asks). PushBack writes
+  /// in place even into a shared chunk: it writes only the slot at
+  /// size(), and every other holder of the chunk is an older copy of
+  /// this array, whose size() is at most this one's, so none of them
+  /// reads that slot.
+  template <typename T>
+  class ChunkedArray {
+   public:
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const T& operator[](size_t i) const {
+      return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
+    }
+    const T& back() const { return (*this)[size_ - 1]; }
+
+    /// Writable element `i`; copies its chunk when shared.
+    T& Mutable(size_t i, CacheLedger* ledger) {
+      return Own(i >> kChunkBits, ledger)[i & (kChunkSize - 1)];
+    }
+
+    void PushBack(const T& value) {
+      const size_t c = size_ >> kChunkBits;
+      const size_t slot = size_ & (kChunkSize - 1);
+      if (c == chunks_.size()) {
+        // The first chunk starts small and doubles, so small models
+        // stay small; later chunks are allocated whole.
+        if (c == 0) head_capacity_ = 16;
+        chunks_.push_back(std::make_shared<T[]>(Capacity(c)));
+      } else if (c == 0 && slot == head_capacity_) {
+        // A new, larger first chunk: holders keep the old one.
+        auto bigger = std::make_shared<T[]>(2 * head_capacity_);
+        std::copy_n(chunks_[0].get(), slot, bigger.get());
+        chunks_[0] = std::move(bigger);
+        head_capacity_ *= 2;
+      }
+      chunks_[c][slot] = value;
+      ++size_;
+    }
+
+    /// Insert at `pos`, shifting the tail up by one (rare: by_link
+    /// stragglers during a rebuild).
+    void Insert(size_t pos, const T& value, CacheLedger* ledger) {
+      PushBack(value);
+      for (size_t i = size_ - 1; i > pos; --i) {
+        Mutable(i, ledger) = (*this)[i - 1];
+      }
+      Mutable(pos, ledger) = value;
+    }
+
+    /// Heap bytes: chunk payloads plus the pointer table.
+    size_t ApproxBytes() const {
+      size_t n = chunks_.capacity() * sizeof(std::shared_ptr<T[]>);
+      for (size_t c = 0; c < chunks_.size(); ++c) n += ChunkBytes(c);
+      return n;
+    }
+    /// Bytes of the chunks this array holds that `newer` does not.
+    size_t UnsharedBytes(const ChunkedArray& newer) const {
+      size_t n = chunks_.capacity() * sizeof(std::shared_ptr<T[]>);
+      for (size_t c = 0; c < chunks_.size(); ++c) {
+        if (c >= newer.chunks_.size() || newer.chunks_[c] != chunks_[c]) {
+          n += ChunkBytes(c);
+        }
+      }
+      return n;
+    }
+
+   private:
+    size_t Capacity(size_t c) const {
+      return c == 0 ? head_capacity_ : kChunkSize;
+    }
+    /// Payload plus the make_shared control block.
+    size_t ChunkBytes(size_t c) const {
+      return Capacity(c) * sizeof(T) + 2 * sizeof(void*);
+    }
+    T* Own(size_t c, CacheLedger* ledger) {
+      std::shared_ptr<T[]>& chunk = chunks_[c];
+      if (chunk.use_count() > 1) {
+        auto copy = std::make_shared<T[]>(Capacity(c));
+        std::copy_n(chunk.get(), Capacity(c), copy.get());
+        ledger->copied_bytes += ChunkBytes(c);
+        chunk = std::move(copy);
+      }
+      return chunk.get();
+    }
+
+    std::vector<std::shared_ptr<T[]>> chunks_;
+    size_t size_ = 0;
+    size_t head_capacity_ = 0;  ///< slots in chunks_[0]
+  };
+
+  using QuadArray = ChunkedArray<IdQuad>;
+
+  /// A hash index cut into kShardCount shared shards, picked by the top
+  /// bits of the key's Mix64 hash (a shard's own table uses the low
+  /// bits). Absent shards are empty. `Shard` provides Bytes() (O(1),
+  /// from its ledgers and container geometry) and Recount() (re-derive
+  /// those ledgers after a copy, whose containers are capacity-tight).
+  template <typename Shard>
+  class ShardArray {
+   public:
+    static size_t ShardOf(uint64_t hash) {
+      return static_cast<size_t>(hash >> (64 - kShardBits));
+    }
+    const Shard* Find(uint64_t hash) const {
+      return shards_[ShardOf(hash)].get();
+    }
+
+    /// Run `fn(Shard&)` on the shard for `hash`, creating it when absent
+    /// and copying it first when another copy of the index shares it;
+    /// keeps ledger->index_bytes equal to the sum of shard Bytes().
+    template <typename Fn>
+    void Edit(uint64_t hash, CacheLedger* ledger, Fn&& fn) {
+      std::shared_ptr<Shard>& slot = shards_[ShardOf(hash)];
+      if (slot == nullptr) {
+        slot = std::make_shared<Shard>();
+        ledger->index_bytes += slot->Bytes();
+      } else if (slot.use_count() > 1) {
+        auto copy = std::make_shared<Shard>(*slot);
+        copy->Recount();
+        ledger->index_bytes = ledger->index_bytes + copy->Bytes() -
+                              slot->Bytes();
+        ledger->copied_bytes += copy->Bytes();
+        slot = std::move(copy);
+      }
+      const size_t before = slot->Bytes();
+      fn(*slot);
+      ledger->index_bytes = ledger->index_bytes + slot->Bytes() - before;
+    }
+
+    /// Bytes of the shards this index holds that `newer` does not.
+    size_t UnsharedBytes(const ShardArray& newer) const {
+      size_t n = 0;
+      for (size_t i = 0; i < kShardCount; ++i) {
+        if (shards_[i] != nullptr && shards_[i] != newer.shards_[i]) {
+          n += shards_[i]->Bytes();
+        }
+      }
+      return n;
+    }
+
+   private:
+    std::array<std::shared_ptr<Shard>, kShardCount> shards_;
+  };
+
   /// Flat open-addressing (subject, predicate) → rows map with the
   /// single-row answer inlined in the slot: the overwhelmingly common
   /// probe shape in chain and star joins (one matching row) is answered
   /// from one slot load, with no posting-list or quad-array
   /// indirection. Multi-row groups spill to an overflow posting list in
   /// creation order. Deletes tombstone the slot; rehashing drops
-  /// tombstones.
+  /// tombstones. One SpMap is one shard of a model's (s, p) index;
+  /// callers pass the pair's Hash(), whose low bits pick the slot.
   class SpMap {
    public:
     struct Hit {
@@ -194,9 +363,16 @@ class LinkStore {
       ValueId canon_o = 0;             ///< single row's canonical object
     };
 
-    Hit Probe(ValueId s, ValueId p) const {
+    static uint64_t Hash(ValueId s, ValueId p) {
+      // Full-avalanche finalizer: linear probing clusters badly on
+      // HashCombine alone when ids are near-sequential.
+      return Mix64(
+          HashCombine(static_cast<uint64_t>(s), static_cast<uint64_t>(p)));
+    }
+
+    Hit Probe(ValueId s, ValueId p, uint64_t hash) const {
       if (slots_.empty()) return Hit{};
-      for (size_t i = IndexFor(s, p);; i = (i + 1) & mask_) {
+      for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
         const Slot& slot = slots_[i];
         if (slot.s == kEmpty) return Hit{};
         if (slot.s != s || slot.p != p) continue;  // incl. tombstones
@@ -215,23 +391,22 @@ class LinkStore {
       }
     }
 
-    void Insert(ValueId s, ValueId p, uint32_t idx, ValueId o,
-                ValueId canon_o);
-
-    /// Approximate heap bytes: slot array + overflow posting lists.
-    size_t ApproxBytes() const {
-      size_t n = slots_.capacity() * sizeof(Slot) +
-                 overflow_.capacity() * sizeof(std::vector<uint32_t>) +
-                 free_overflow_.capacity() * sizeof(int32_t);
-      for (const std::vector<uint32_t>& rows : overflow_) {
-        n += rows.capacity() * sizeof(uint32_t);
-      }
-      return n;
-    }
+    void Insert(ValueId s, ValueId p, uint64_t hash, uint32_t idx,
+                ValueId o, ValueId canon_o);
     /// Remove row `idx`; `quads` re-derives the inline payload when an
     /// overflow list collapses back to a single row.
-    void Erase(ValueId s, ValueId p, uint32_t idx,
-               const std::vector<IdQuad>& quads);
+    void Erase(ValueId s, ValueId p, uint64_t hash, uint32_t idx,
+               const QuadArray& quads);
+
+    /// Heap bytes: this object, the slot array and the overflow lists.
+    size_t Bytes() const {
+      return sizeof(SpMap) + 2 * sizeof(void*) +
+             slots_.capacity() * sizeof(Slot) +
+             overflow_.capacity() * sizeof(std::vector<uint32_t>) +
+             free_overflow_.capacity() * sizeof(int32_t) + list_bytes_;
+    }
+    /// Re-derive the overflow-list ledger (after a copy).
+    void Recount();
 
    private:
     static constexpr ValueId kEmpty = -1;
@@ -245,37 +420,61 @@ class LinkStore {
       ValueId canon_o = 0;
     };
 
-    size_t IndexFor(ValueId s, ValueId p) const {
-      uint64_t h = HashCombine(static_cast<uint64_t>(s),
-                               static_cast<uint64_t>(p));
-      // Full-avalanche finalizer: linear probing clusters badly on
-      // HashCombine alone when ids are near-sequential.
-      h ^= h >> 33;
-      h *= 0xff51afd7ed558ccdULL;
-      h ^= h >> 33;
-      return static_cast<size_t>(h) & mask_;
-    }
-    Slot& SlotFor(ValueId s, ValueId p);
+    Slot& SlotFor(ValueId s, ValueId p, uint64_t hash);
     void Grow();
 
     std::vector<Slot> slots_;
     std::vector<std::vector<uint32_t>> overflow_;
     std::vector<int32_t> free_overflow_;
-    size_t used_ = 0;  ///< full + tombstoned slots
+    size_t list_bytes_ = 0;  ///< overflow list capacities, in bytes
+    size_t used_ = 0;        ///< full + tombstoned slots
     size_t mask_ = 0;
   };
 
-  /// Posting map: one delta+varint compressed list of quad indexes per
-  /// key. Lists are append-only ascending; deletions tombstone the
-  /// referenced quad instead of editing the list (see DESIGN.md §14).
-  using PostingMap = std::unordered_map<ValueId, codec::PostingList>;
+  /// One shard of a posting index: a delta+varint compressed list of
+  /// quad indexes per key. Lists are append-only ascending; deletions
+  /// tombstone the referenced quad instead of editing the list (see
+  /// DESIGN.md §14).
+  struct PostingShard {
+    std::unordered_map<ValueId, codec::PostingList> lists;
+    size_t list_bytes = 0;  ///< list payload capacities, in bytes
+
+    static uint64_t Hash(ValueId key) {
+      return Mix64(static_cast<uint64_t>(key));
+    }
+    void Append(ValueId key, uint32_t idx) {
+      codec::PostingList& list = lists[key];
+      list_bytes -= list.ApproxBytes();
+      list.Append(idx);
+      list_bytes += list.ApproxBytes();
+    }
+    /// Heap bytes from real container geometry: the bucket array, one
+    /// node per key (payload + ~two pointers of allocator overhead),
+    /// and the list payloads.
+    size_t Bytes() const {
+      return sizeof(PostingShard) + 2 * sizeof(void*) +
+             lists.bucket_count() * sizeof(void*) +
+             lists.size() *
+                 (sizeof(std::pair<const ValueId, codec::PostingList>) +
+                  2 * sizeof(void*)) +
+             list_bytes;
+    }
+    void Recount() {
+      list_bytes = 0;
+      for (const auto& [key, list] : lists) {
+        (void)key;
+        list_bytes += list.ApproxBytes();
+      }
+    }
+  };
+  using PostingIndex = ShardArray<PostingShard>;
 
   /// Per-model id-native postings backing MatchEachIds and the
   /// executors' leaf scans: quads in creation order plus compressed
   /// posting lists by subject, canonical object, and predicate (quad
   /// indexes, delta+varint with a skip table for galloping), an exact
   /// (subject, predicate) hash, and a sorted LINK_ID → quad index
-  /// vector. Scans decode cursors instead of walking flat int arrays.
+  /// array. Scans decode cursors instead of walking flat int arrays.
   /// Maintained by every mutation path in lockstep with the table (and
   /// rebuilt from it on reattach), so reads need no locking beyond
   /// what the table itself requires.
@@ -285,27 +484,27 @@ class LinkStore {
   /// for free) and stale posting entries are tolerated by every scan.
   /// Compact() renumbers once dead quads outnumber live ones.
   ///
-  /// Instances are held by shared_ptr and copied-on-write: the store
-  /// clones a model's cache before the first mutation that follows a
-  /// ShareCaches() call, so published snapshots keep reading the old
-  /// object while the store mutates the clone.
+  /// Instances are held by shared_ptr and copied-on-write at two
+  /// levels: the store copies a model's cache object (its chunk and
+  /// shard pointer tables only) before the first mutation that follows
+  /// a ShareCaches() call, and each write then copies the chunks and
+  /// shards it modifies that a published version still holds (appends
+  /// excepted, see ChunkedArray). Published snapshots read only their
+  /// own chunks and shards, which no write changes.
   struct ModelIdCache {
-    std::vector<IdQuad> quads;       ///< creation order; dead = all -1
-    std::vector<uint32_t> row_ids;   ///< parallel: rdf_link$ RowId per quad
-    PostingMap by_s;
-    SpMap by_sp;
-    PostingMap by_canon;
-    PostingMap by_p;
+    QuadArray quads;                  ///< creation order; dead = all -1
+    ChunkedArray<uint32_t> row_ids;   ///< parallel: rdf_link$ RowId
+    PostingIndex by_s;
+    ShardArray<SpMap> by_sp;
+    PostingIndex by_canon;
+    PostingIndex by_p;
     /// LINK_ID → quad index, sorted by LINK_ID (link ids ascend in
     /// creation order). Tombstoned entries keep the key with
-    /// kDeadIdx as the value so the vector stays sorted.
-    std::vector<std::pair<LinkId, uint32_t>> by_link;
+    /// kDeadIdx as the value so the array stays sorted.
+    ChunkedArray<std::pair<LinkId, uint32_t>> by_link;
     size_t implied_count = 0;  ///< rows with CONTEXT == Implied
     size_t dead_count = 0;     ///< tombstoned quads awaiting Compact()
-    /// Heap bytes of the three posting maps' list payloads (vector
-    /// capacities), maintained incrementally by Append/Compact so
-    /// ApproxBytes stays cheap on the publish path.
-    size_t posting_heap_bytes = 0;
+    CacheLedger ledger;
 
     static constexpr uint32_t kDeadIdx = 0xffffffffu;
     static bool Dead(const IdQuad& q) { return q.link_id < 0; }
@@ -317,33 +516,44 @@ class LinkStore {
     void Tombstone(uint32_t idx, bool implied);
     /// Quad index for LINK_ID, or -1 when absent/tombstoned.
     int64_t IndexOfLink(LinkId link_id) const;
-    /// Renumber live quads and rebuild every posting structure.
+    /// Renumber live quads into fresh chunks and shards.
     void Compact();
     bool ShouldCompact() const {
       return dead_count > 4096 && dead_count * 2 > quads.size();
     }
-    /// Re-derive posting_heap_bytes exactly (used after a COW clone,
-    /// whose copied vectors have fresh capacities).
-    void RecomputePostingBytes();
 
     /// Approximate heap bytes owned by this cache object, from real
-    /// container geometry: vector capacities, hash bucket arrays, and
-    /// per-node allocator overhead — no flat per-entry constants.
-    /// Drives the quad-cache memory gauge and the exclusive-footprint
-    /// estimate stamped onto retired StoreVersions. O(1)-ish — the
-    /// publish path calls it once per mutation.
+    /// container geometry: chunk capacities, shard ledgers (hash bucket
+    /// arrays, per-node allocator overhead, list capacities) — no flat
+    /// per-entry constants. Drives the quad-cache memory gauge.
     size_t ApproxBytes() const {
-      return sizeof(ModelIdCache) + quads.capacity() * sizeof(IdQuad) +
-             row_ids.capacity() * sizeof(uint32_t) + by_sp.ApproxBytes() +
-             by_link.capacity() * sizeof(std::pair<LinkId, uint32_t>) +
-             posting_heap_bytes + MapNodeBytes(by_s) +
-             MapNodeBytes(by_canon) + MapNodeBytes(by_p);
+      return sizeof(ModelIdCache) + quads.ApproxBytes() +
+             row_ids.ApproxBytes() + by_link.ApproxBytes() +
+             ledger.index_bytes;
+    }
+    /// Bytes this cache holds that `newer` (a later copy of the same
+    /// model's cache) does not share: the exclusive footprint of a
+    /// retired version. Zero when both are the same object.
+    size_t UnsharedBytes(const ModelIdCache& newer) const;
+
+    SpMap::Hit ProbeSp(ValueId s, ValueId p) const {
+      const uint64_t hash = SpMap::Hash(s, p);
+      const SpMap* shard = by_sp.Find(hash);
+      return shard == nullptr ? SpMap::Hit{} : shard->Probe(s, p, hash);
+    }
+    /// Posting list of `key` in one of the posting indexes, or null.
+    static const codec::PostingList* FindPostings(const PostingIndex& index,
+                                                  ValueId key) {
+      const PostingShard* shard = index.Find(PostingShard::Hash(key));
+      if (shard == nullptr) return nullptr;
+      auto it = shard->lists.find(key);
+      return it == shard->lists.end() ? nullptr : &it->second;
     }
 
     /// Exact (s, p, lexical-object) probe — the identity Insert/Delete
     /// and IS_TRIPLE use. Returns the quad index or -1.
     int64_t FindSpoIdx(ValueId s, ValueId p, ValueId o) const {
-      SpMap::Hit hit = by_sp.Probe(s, p);
+      SpMap::Hit hit = ProbeSp(s, p);
       if (hit.n == 0) return -1;
       if (hit.n == 1) return hit.o == o ? static_cast<int64_t>(hit.head) : -1;
       for (uint32_t i = 0; i < hit.n; ++i) {
@@ -357,19 +567,6 @@ class LinkStore {
       int64_t idx = FindSpoIdx(s, p, o);
       return idx < 0 ? nullptr : &quads[static_cast<uint32_t>(idx)];
     }
-
-   private:
-    /// Hash-map node accounting: bucket array + one node per key
-    /// (payload + ~two pointers of allocator overhead). List payload
-    /// bytes live in posting_heap_bytes.
-    static size_t MapNodeBytes(const PostingMap& postings) {
-      return postings.bucket_count() * sizeof(void*) +
-             postings.size() *
-                 (sizeof(std::pair<const ValueId, codec::PostingList>) +
-                  2 * sizeof(void*));
-    }
-    /// Append `idx` to postings[key], keeping posting_heap_bytes exact.
-    void PostingAppend(PostingMap* postings, ValueId key, uint32_t idx);
   };
 
   /// Id-only match kernel over one cache: index choice (sp probe →
@@ -409,24 +606,25 @@ class LinkStore {
     LeafScan(const ModelIdCache* cache, obs::Counter* scans)
         : cache_(cache), scans_(scans) {}
     bool valid() const { return cache_ != nullptr; }
-    const IdQuad* quads() const { return cache_->quads.data(); }
+    /// The quads, indexed by quad index through their chunks.
+    const QuadArray& quads() const { return cache_->quads; }
     uint32_t quad_count() const {
       return static_cast<uint32_t>(cache_->quads.size());
     }
     SpMap::Hit ProbeSp(ValueId s, ValueId p) const {
-      return cache_->by_sp.Probe(s, p);
+      return cache_->ProbeSp(s, p);
     }
     /// Compressed posting lists (quad indexes; may reference
     /// tombstoned quads — check IdQuad::link_id or rely on residual
     /// filters, which never match a dead quad's -1 ids).
     const codec::PostingList* PostingsS(ValueId s) const {
-      return FindPostings(cache_->by_s, s);
+      return ModelIdCache::FindPostings(cache_->by_s, s);
     }
     const codec::PostingList* PostingsCanon(ValueId canon_o) const {
-      return FindPostings(cache_->by_canon, canon_o);
+      return ModelIdCache::FindPostings(cache_->by_canon, canon_o);
     }
     const codec::PostingList* PostingsP(ValueId p) const {
-      return FindPostings(cache_->by_p, p);
+      return ModelIdCache::FindPostings(cache_->by_p, p);
     }
     /// Mirror MatchEachIds' store-level scan accounting.
     void CountScanned(size_t n) const {
@@ -435,15 +633,9 @@ class LinkStore {
 
    private:
     friend class LinkStore;
-    static const codec::PostingList* FindPostings(const PostingMap& postings,
-                                                  ValueId key) {
-      auto it = postings.find(key);
-      return it == postings.end() ? nullptr : &it->second;
-    }
     const ModelIdCache* cache_ = nullptr;
     obs::Counter* scans_ = nullptr;
   };
-
   /// Leaf-scan view of `model_id`; invalid when the model has no rows.
   LeafScan Leaf(int64_t model_id) const;
 
@@ -480,10 +672,15 @@ class LinkStore {
                  std::optional<ValueId> p, std::optional<ValueId> canon_o,
                  const std::function<bool(const storage::Row&)>& fn) const;
 
-  /// Mutable handle on one model's cache, cloning it first when a
-  /// published snapshot still shares the current object (copy-on-write;
-  /// only the serialized writer manipulates these shared_ptrs).
+  /// Mutable handle on one model's cache. When a published snapshot
+  /// still shares the current object, it is replaced by a copy of its
+  /// chunk and shard pointer tables; the chunks and shards themselves
+  /// are copied later, one at a time, by the writes that touch them
+  /// (only the serialized writer manipulates these shared_ptrs).
   ModelIdCache& MutableCache(int64_t model_id);
+  /// Move the chunk/shard bytes `cache`'s writes copied into
+  /// rdfdb_cow_copied_bytes_total.
+  void DrainCopiedBytes(ModelIdCache* cache);
 
   void CacheInsert(int64_t model_id, const IdQuad& quad,
                    storage::RowId row_id, bool implied);

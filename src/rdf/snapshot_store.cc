@@ -158,7 +158,8 @@ Result<RdfStore::ModelStats> StoreVersion::GetModelStats(
 
   if (options.distinct_counts) {
     std::unordered_set<ValueId> subjects, predicates, objects;
-    for (const LinkStore::IdQuad& quad : cache->quads) {
+    for (size_t i = 0; i < cache->quads.size(); ++i) {
+      const LinkStore::IdQuad& quad = cache->quads[i];
       if (LinkStore::ModelIdCache::Dead(quad)) continue;
       subjects.insert(quad.s);
       predicates.insert(quad.p);
@@ -321,17 +322,17 @@ Status SnapshotRdfStore::PublishLocked() {
   current_sp_ = std::move(version);
   const uint64_t retire_epoch = gc_.Advance();
   if (displaced != nullptr) {
-    // Exclusive footprint of the displaced version: the quad caches it
-    // holds that the new version no longer shares (i.e. the pre-CoW
-    // copies of whatever this publish mutated). Shared caches cost
-    // nothing extra to retain, so they are not charged.
+    // Exclusive footprint of the displaced version: the quad-cache
+    // chunks and shards it holds that the new version no longer shares
+    // (the pre-write copies of whatever this publish's writes touched,
+    // or a whole cache for a dropped model). Shared chunks and shards
+    // cost nothing extra to retain, so they are not charged.
     size_t exclusive_bytes = 0;
     for (const auto& [model_id, cache] : displaced->caches_) {
       auto it = current_sp_->caches_.find(model_id);
-      if (it == current_sp_->caches_.end() ||
-          it->second.get() != cache.get()) {
-        exclusive_bytes += cache->ApproxBytes();
-      }
+      exclusive_bytes += it == current_sp_->caches_.end()
+                             ? cache->ApproxBytes()
+                             : cache->UnsharedBytes(*it->second);
     }
     gc_.Retire(std::shared_ptr<const void>(displaced), retire_epoch,
                exclusive_bytes);

@@ -253,5 +253,36 @@ TEST(ClassifyPredicateTest, LinkTypes) {
             "STANDARD");
 }
 
+TEST_F(LinkStoreTest, RebuildCacheSortsOutOfOrderLinkIds) {
+  // Raw rows whose LINK_IDs descend in table order (a restore that did
+  // not copy rows in id order): every row lands in by_link out of
+  // order, across more than one by_link chunk.
+  storage::Table* table = db_.GetTable("MDSYS", "RDF_LINK$");
+  ValueId p = V("p");
+  const int n = static_cast<int>(LinkStore::kChunkSize) + 500;
+  std::vector<ValueId> subjects;
+  for (int i = 0; i < n; ++i) {
+    subjects.push_back(V("s" + std::to_string(i)));
+    storage::Row row{storage::Value::Int64(100000 - i),
+                     storage::Value::Int64(subjects.back()),
+                     storage::Value::Int64(p),
+                     storage::Value::Int64(p),
+                     storage::Value::Int64(p),
+                     storage::Value::String("STANDARD"),
+                     storage::Value::Int64(1),
+                     storage::Value::String("D"),
+                     storage::Value::String("N"),
+                     storage::Value::Int64(1)};
+    ASSERT_TRUE(table->Insert(std::move(row)).ok());
+  }
+  links_.RebuildCache();
+  for (int i = 0; i < n; ++i) {
+    auto row = links_.Get(100000 - i);
+    ASSERT_TRUE(row.ok()) << i;
+    EXPECT_EQ(row->start_node_id, subjects[i]);
+  }
+  EXPECT_FALSE(links_.Get(100000 - n).ok());
+}
+
 }  // namespace
 }  // namespace rdfdb::rdf

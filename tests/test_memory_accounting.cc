@@ -124,6 +124,38 @@ TEST(MemoryAccountingTest, RetiredBytesAppearWhileASnapshotPinsAndClear) {
   EXPECT_EQ(store.OldestRetireAgeSeconds(), 0.0);
 }
 
+TEST(MemoryAccountingTest, RetiredBytesChargeOnlyUnsharedChunksAndShards) {
+  SnapshotRdfStore store;
+  ASSERT_TRUE(store
+                  .Apply([](RdfStore& live) {
+                    RDFDB_RETURN_NOT_OK(
+                        live.CreateRdfModel("m", "m_app", "triple").status());
+                    return InsertN(&live, "m", 20000);
+                  })
+                  .ok());
+  const size_t quad_cache_bytes = store.MemoryUsage().quad_cache_bytes;
+  {
+    // The displaced version shares all but the chunks and shards the
+    // one-statement write copied, so only those are charged to it.
+    auto snapshot = store.Snapshot();
+    ASSERT_TRUE(store
+                    .Apply([](RdfStore& live) {
+                      return InsertN(&live, "m", 1, /*offset=*/50000);
+                    })
+                    .ok());
+    EXPECT_GT(store.RetiredBytes(), 0u);
+    EXPECT_LT(store.RetiredBytes(), quad_cache_bytes / 10);
+    EXPECT_EQ(store.MemoryUsage().retired_version_bytes,
+              store.RetiredBytes());
+  }
+  ASSERT_TRUE(store
+                  .Apply([](RdfStore& live) {
+                    return InsertN(&live, "m", 1, /*offset=*/60000);
+                  })
+                  .ok());
+  EXPECT_EQ(store.RetiredBytes(), 0u);
+}
+
 TEST(MemoryAccountingTest, RetentionWatchdogEmitsStallEvent) {
   std::ostringstream sink;
   obs::EventLog::Options options;

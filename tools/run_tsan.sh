@@ -27,7 +27,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   test_metrics test_codec \
   test_exec_diff test_event_log test_span_timeline test_slow_query_log \
   test_resource_tracker test_profiler test_memory_accounting \
-  test_flight_recorder test_cancel test_server test_obs_routes test_render
+  test_flight_recorder test_cancel test_server test_obs_routes test_render \
+  test_cow_cache
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_bulk_load
@@ -41,6 +42,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_slow_query_log
 "$BUILD_DIR"/tests/test_resource_tracker
 "$BUILD_DIR"/tests/test_memory_accounting
+# Readers scan pinned versions' quad-cache chunks and shards while the
+# writer copies the ones it touches and compacts (test_cow_cache).
+"$BUILD_DIR"/tests/test_cow_cache
 # The seqlock'd active-op table and the sampler-vs-guard interplay are
 # exactly TSan territory (relaxed field loads behind the seq protocol
 # are intentional; the suppressions-free run must still be clean).
