@@ -232,7 +232,7 @@ class StepRunner {
     };
 
     // Decode one compressed posting list, residual-filtering each quad.
-    auto scan_cursor = [&](const rdf::codec::PostingList& list) {
+    auto scan_cursor = [&](const rdf::codec::PostingView& list) {
       uint32_t visited = 0;
       list.ForEach([&](uint32_t row) {
         const rdf::LinkStore::IdQuad& q = quads[row];
@@ -249,11 +249,11 @@ class StepRunner {
     // skip the longer via its block index. Worth it only when both
     // lists are non-trivial — a SkipTo decodes up to one 64-entry
     // block, while a residual compare on the driven list is O(1).
-    auto gallop = [&](const rdf::codec::PostingList& a_list,
-                      const rdf::codec::PostingList& b_list) {
+    auto gallop = [&](const rdf::codec::PostingView& a_list,
+                      const rdf::codec::PostingView& b_list) {
       const bool a_short = a_list.size() <= b_list.size();
-      rdf::codec::PostingList::Cursor a(a_short ? a_list : b_list);
-      rdf::codec::PostingList::Cursor b(a_short ? b_list : a_list);
+      rdf::codec::PostingView::Cursor a(a_short ? a_list : b_list);
+      rdf::codec::PostingView::Cursor b(a_short ? b_list : a_list);
       uint32_t visited = 0;
       while (!a.AtEnd() && b.SkipTo(a.Value())) {
         ++visited;
@@ -280,15 +280,15 @@ class StepRunner {
     // AND the longer list is sparse relative to it (a dense longer
     // list means near-every candidate hits and the quad gets loaded
     // anyway, making the block decodes pure overhead).
-    auto pair_scan = [&](const rdf::codec::PostingList* x,
-                         const rdf::codec::PostingList* y) {
-      if (x == nullptr || y == nullptr) return;
-      const uint32_t short_n = std::min(x->size(), y->size());
-      const uint32_t long_n = std::max(x->size(), y->size());
+    auto pair_scan = [&](const rdf::codec::PostingView& x,
+                         const rdf::codec::PostingView& y) {
+      if (x.empty() || y.empty()) return;
+      const uint32_t short_n = std::min(x.size(), y.size());
+      const uint32_t long_n = std::max(x.size(), y.size());
       if (short_n > kGallopMinDriven && long_n / 8 > short_n) {
-        gallop(*x, *y);
+        gallop(x, y);
       } else {
-        scan_cursor(x->size() <= y->size() ? *x : *y);
+        scan_cursor(x.size() <= y.size() ? x : y);
       }
     };
 
@@ -309,17 +309,11 @@ class StepRunner {
     } else if (p.has_value() && o.has_value()) {
       pair_scan(leaf_.PostingsP(*p), leaf_.PostingsCanon(*o));
     } else if (s.has_value()) {
-      if (const rdf::codec::PostingList* rows = leaf_.PostingsS(*s)) {
-        scan_cursor(*rows);
-      }
+      scan_cursor(leaf_.PostingsS(*s));
     } else if (o.has_value()) {
-      if (const rdf::codec::PostingList* rows = leaf_.PostingsCanon(*o)) {
-        scan_cursor(*rows);
-      }
+      scan_cursor(leaf_.PostingsCanon(*o));
     } else if (p.has_value()) {
-      if (const rdf::codec::PostingList* rows = leaf_.PostingsP(*p)) {
-        scan_cursor(*rows);
-      }
+      scan_cursor(leaf_.PostingsP(*p));
     } else {
       const uint32_t n = leaf_.quad_count();
       uint32_t visited = 0;

@@ -2,12 +2,13 @@
 
 namespace rdfdb::rdf::codec {
 
-std::vector<uint32_t> PostingList::ToVector() const {
+std::vector<uint32_t> PostingView::ToVector() const {
   std::vector<uint32_t> out;
   out.reserve(count_);
-  for (Cursor cur(*this); !cur.AtEnd(); cur.Next()) {
-    out.push_back(cur.Value());
-  }
+  ForEach([&](uint32_t value) {
+    out.push_back(value);
+    return true;
+  });
   return out;
 }
 

@@ -119,6 +119,10 @@ void LinkStore::RebuildCache() {
                     static_cast<char>(TripleContext::kImplied));
     return true;
   });
+  for (auto& [model_id, cache] : id_cache_) {
+    (void)model_id;
+    cache->Repack();
+  }
 }
 
 LinkStore::SpMap::Slot& LinkStore::SpMap::SlotFor(ValueId s, ValueId p,
@@ -172,27 +176,19 @@ void LinkStore::SpMap::Insert(ValueId s, ValueId p, uint64_t hash,
     slot.canon_o = canon_o;
     return;
   }
-  std::vector<uint32_t>* rows;
-  size_t before = 0;
   if (slot.overflow < 0) {
-    int32_t ref;
     if (!free_overflow_.empty()) {
-      ref = free_overflow_.back();
+      slot.overflow = free_overflow_.back();
       free_overflow_.pop_back();
-      rows = &overflow_[ref];
-      before = rows->capacity();
-      *rows = {slot.head, idx};
     } else {
-      ref = static_cast<int32_t>(overflow_.size());
-      rows = &overflow_.emplace_back(std::vector<uint32_t>{slot.head, idx});
+      slot.overflow = static_cast<int32_t>(overflow_.size());
+      overflow_.emplace_back();
     }
-    slot.overflow = ref;
+    const uint32_t pair[2] = {slot.head, idx};
+    rows_.Append(&overflow_[slot.overflow], pair, 2);
   } else {
-    rows = &overflow_[slot.overflow];
-    before = rows->capacity();
-    rows->push_back(idx);
+    rows_.Append(&overflow_[slot.overflow], &idx, 1);
   }
-  list_bytes_ += (rows->capacity() - before) * sizeof(uint32_t);
 }
 
 void LinkStore::SpMap::Erase(ValueId s, ValueId p, uint64_t hash,
@@ -205,27 +201,105 @@ void LinkStore::SpMap::Erase(ValueId s, ValueId p, uint64_t hash,
       slot.s = kGone;
       return;
     }
-    // Erase and clear keep the list's capacity, so list_bytes_ holds.
-    std::vector<uint32_t>& rows = overflow_[slot.overflow];
-    rows.erase(std::find(rows.begin(), rows.end(), idx));
-    if (rows.size() == 1) {
-      const IdQuad& q = quads[rows.front()];
-      slot.head = rows.front();
+    RowArena::Region& rows = overflow_[slot.overflow];
+    const uint32_t* list = rows_.At(rows);
+    rows_.Erase(&rows, static_cast<uint32_t>(
+                           std::find(list, list + rows.len, idx) - list));
+    if (rows.len == 1) {
+      const uint32_t head = *rows_.At(rows);
+      const IdQuad& q = quads[head];
+      slot.head = head;
       slot.o = q.o;
       slot.canon_o = q.canon_o;
+      rows_.Free(&rows);
       free_overflow_.push_back(slot.overflow);
-      rows.clear();
       slot.overflow = -1;
     }
     return;
   }
 }
 
-void LinkStore::SpMap::Recount() {
-  list_bytes_ = 0;
-  for (const std::vector<uint32_t>& rows : overflow_) {
-    list_bytes_ += rows.capacity() * sizeof(uint32_t);
+LinkStore::SpMap::RowArena LinkStore::SpMap::Packed(
+    std::vector<RowArena::Region>* overflow) const {
+  // Released regions are empty and pack to nothing.
+  return rows_.Packed([&](auto&& move) {
+    for (RowArena::Region& rows : *overflow) move(rows);
+  });
+}
+
+LinkStore::SpMap::SpMap(const SpMap& other)
+    : slots_(other.slots_),
+      overflow_(other.overflow_),
+      free_overflow_(other.free_overflow_),
+      rows_(other.rows_.Sparse() ? other.Packed(&overflow_) : other.rows_),
+      used_(other.used_),
+      mask_(other.mask_) {}
+
+void LinkStore::SpMap::Repack() { rows_ = Packed(&overflow_); }
+
+LinkStore::PostingShard::PostingShard(const PostingShard& other)
+    : slots_(other.slots_), keys_(other.keys_), mask_(other.mask_) {
+  if (other.bytes_.Sparse() || other.skips_.Sparse()) {
+    PackFrom(other);
+  } else {
+    bytes_ = other.bytes_;
+    skips_ = other.skips_;
   }
+}
+
+void LinkStore::PostingShard::PackFrom(const PostingShard& source) {
+  bytes_ = source.bytes_.Packed([&](auto&& move) {
+    for (Slot& slot : slots_) {
+      if (slot.key != kEmpty) move(slot.bytes);
+    }
+  });
+  skips_ = source.skips_.Packed([&](auto&& move) {
+    for (Slot& slot : slots_) {
+      if (slot.key != kEmpty) move(slot.skips);
+    }
+  });
+}
+
+void LinkStore::PostingShard::Repack() { PackFrom(*this); }
+
+LinkStore::PostingShard::Slot& LinkStore::PostingShard::SlotFor(
+    ValueId key, uint64_t hash) {
+  if ((keys_ + 1) * 10 >= slots_.size() * 7) Grow();
+  for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+    Slot& slot = slots_[i];
+    if (slot.key == key) return slot;
+    if (slot.key == kEmpty) {
+      slot.key = key;
+      ++keys_;
+      return slot;
+    }
+  }
+}
+
+void LinkStore::PostingShard::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  // One shard of kShardCount: start small so a small model's index
+  // stays small. Keys are never removed, so there are no tombstones.
+  const size_t capacity = old.empty() ? 8 : 2 * old.size();
+  slots_.assign(capacity, Slot{});
+  mask_ = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.key == kEmpty) continue;
+    size_t i = Hash(slot.key) & mask_;
+    while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
+    slots_[i] = slot;
+  }
+}
+
+void LinkStore::PostingShard::Append(ValueId key, uint64_t hash,
+                                     uint32_t idx) {
+  Slot& slot = SlotFor(key, hash);
+  const codec::PostingAppend a(slot.count, slot.last, bytes_.At(slot.bytes),
+                               slot.bytes.len, idx);
+  bytes_.Append(&slot.bytes, a.bytes, a.n);
+  if (a.skip_n > 0) skips_.Append(&slot.skips, a.skips, a.skip_n);
+  slot.last = idx;
+  ++slot.count;
 }
 
 namespace {
@@ -253,8 +327,9 @@ void LinkStore::ModelIdCache::Append(const IdQuad& quad, uint32_t row_id,
   quads.PushBack(quad);
   row_ids.PushBack(row_id);
   auto append = [&](PostingIndex* index, ValueId key) {
-    index->Edit(PostingShard::Hash(key), &ledger,
-                [&](PostingShard& shard) { shard.Append(key, idx); });
+    const uint64_t hash = PostingShard::Hash(key);
+    index->Edit(hash, &ledger,
+                [&](PostingShard& shard) { shard.Append(key, hash, idx); });
   };
   append(&by_s, quad.s);
   const uint64_t sp_hash = SpMap::Hash(quad.s, quad.p);
@@ -314,7 +389,15 @@ void LinkStore::ModelIdCache::Compact() {
     fresh.Append(quads[i], row_ids[i], /*implied=*/false);
   }
   fresh.implied_count = implied_count;  // tombstones already adjusted it
+  fresh.Repack();
   *this = std::move(fresh);
+}
+
+void LinkStore::ModelIdCache::Repack() {
+  by_s.RepackAll(&ledger);
+  by_sp.RepackAll(&ledger);
+  by_canon.RepackAll(&ledger);
+  by_p.RepackAll(&ledger);
 }
 
 size_t LinkStore::ModelIdCache::UnsharedBytes(
@@ -783,12 +866,12 @@ void LinkStore::MatchCacheIndexes(
   }
 
   if (s.has_value() || canon_o.has_value() || p.has_value()) {
-    const codec::PostingList* postings =
+    const codec::PostingView postings =
         s.has_value() ? ModelIdCache::FindPostings(cache.by_s, *s)
         : canon_o.has_value()
             ? ModelIdCache::FindPostings(cache.by_canon, *canon_o)
             : ModelIdCache::FindPostings(cache.by_p, *p);
-    if (postings != nullptr) postings->ForEach(visit);
+    postings.ForEach(visit);
     return;
   }
   for (uint32_t idx = 0; idx < cache.quads.size(); ++idx) {

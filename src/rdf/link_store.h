@@ -293,11 +293,94 @@ class LinkStore {
 
   using QuadArray = ChunkedArray<IdQuad>;
 
+  /// Variable-length lists of T packed into one vector: each list owns
+  /// a Region [off, off + cap) of the vector and uses its first len
+  /// elements. A list that outgrows its region grows in place when the
+  /// region ends the vector, and otherwise moves to the end with double
+  /// the capacity, leaving its old region behind as a hole. live()
+  /// counts used elements, so size() - live() is the holes plus the
+  /// slack inside regions; Packed() rebuilds the vector with every list
+  /// tight. Copying an arena is one vector copy, whatever the number of
+  /// lists (DESIGN.md §14).
+  template <typename T>
+  class RegionArena {
+   public:
+    struct Region {
+      uint32_t off = 0;
+      uint32_t len = 0;
+      uint32_t cap = 0;
+    };
+
+    const T* At(const Region& r) const { return data_.data() + r.off; }
+
+    /// Append `n` elements to `r`, moving it when it is full.
+    void Append(Region* r, const T* src, uint32_t n) {
+      if (r->len + n > r->cap) Reserve(r, r->len + n);
+      std::copy_n(src, n, data_.data() + r->off + r->len);
+      r->len += n;
+      live_ += n;
+    }
+    /// Remove element `i` of `r`, shifting the rest down.
+    void Erase(Region* r, uint32_t i) {
+      T* p = data_.data() + r->off;
+      std::copy(p + i + 1, p + r->len, p + i);
+      --r->len;
+      --live_;
+    }
+    /// Release `r`: its space is a hole until the next repack.
+    void Free(Region* r) {
+      live_ -= r->len;
+      *r = Region{};
+    }
+
+    size_t size() const { return data_.size(); }
+    size_t live() const { return live_; }
+    /// Heap bytes (the vector's capacity).
+    size_t Bytes() const { return data_.capacity() * sizeof(T); }
+    /// True when holes and slack outweigh the live elements.
+    bool Sparse() const { return data_.size() > 2 * live_; }
+
+    /// A tight copy: `each(fn)` calls fn(Region&) on every region of
+    /// the copy's owner (offsets still into this arena), and fn moves
+    /// each to its packed place with cap == len.
+    template <typename EachRegion>
+    RegionArena Packed(EachRegion&& each) const {
+      RegionArena out;
+      out.data_.reserve(live_);
+      each([&](Region& r) {
+        const uint32_t off = static_cast<uint32_t>(out.data_.size());
+        out.data_.insert(out.data_.end(), At(r), At(r) + r.len);
+        r.off = off;
+        r.cap = r.len;
+      });
+      out.live_ = live_;
+      return out;
+    }
+
+   private:
+    void Reserve(Region* r, uint32_t need) {
+      if (r->off + r->cap == data_.size()) {  // last region: grow in place
+        data_.resize(r->off + need);
+        r->cap = need;
+        return;
+      }
+      const uint32_t off = static_cast<uint32_t>(data_.size());
+      const uint32_t cap = std::max(need, 2 * r->cap);
+      data_.resize(off + cap);
+      std::copy_n(data_.data() + r->off, r->len, data_.data() + off);
+      r->off = off;
+      r->cap = cap;
+    }
+
+    std::vector<T> data_;
+    size_t live_ = 0;  ///< sum of live regions' len
+  };
+
   /// A hash index cut into kShardCount shared shards, picked by the top
   /// bits of the key's Mix64 hash (a shard's own table uses the low
   /// bits). Absent shards are empty. `Shard` provides Bytes() (O(1),
-  /// from its ledgers and container geometry) and Recount() (re-derive
-  /// those ledgers after a copy, whose containers are capacity-tight).
+  /// from its container geometry), a copy constructor whose result is
+  /// capacity-tight, and Repack() (drop holes and slack in place).
   template <typename Shard>
   class ShardArray {
    public:
@@ -313,21 +396,16 @@ class LinkStore {
     /// keeps ledger->index_bytes equal to the sum of shard Bytes().
     template <typename Fn>
     void Edit(uint64_t hash, CacheLedger* ledger, Fn&& fn) {
-      std::shared_ptr<Shard>& slot = shards_[ShardOf(hash)];
-      if (slot == nullptr) {
-        slot = std::make_shared<Shard>();
-        ledger->index_bytes += slot->Bytes();
-      } else if (slot.use_count() > 1) {
-        auto copy = std::make_shared<Shard>(*slot);
-        copy->Recount();
-        ledger->index_bytes = ledger->index_bytes + copy->Bytes() -
-                              slot->Bytes();
-        ledger->copied_bytes += copy->Bytes();
-        slot = std::move(copy);
+      EditSlot(shards_[ShardOf(hash)], ledger, fn);
+    }
+
+    /// Repack every shard (each copied first when shared).
+    void RepackAll(CacheLedger* ledger) {
+      for (std::shared_ptr<Shard>& slot : shards_) {
+        if (slot != nullptr) {
+          EditSlot(slot, ledger, [](Shard& shard) { shard.Repack(); });
+        }
       }
-      const size_t before = slot->Bytes();
-      fn(*slot);
-      ledger->index_bytes = ledger->index_bytes + slot->Bytes() - before;
     }
 
     /// Bytes of the shards this index holds that `newer` does not.
@@ -342,6 +420,24 @@ class LinkStore {
     }
 
    private:
+    template <typename Fn>
+    static void EditSlot(std::shared_ptr<Shard>& slot, CacheLedger* ledger,
+                         Fn&& fn) {
+      if (slot == nullptr) {
+        slot = std::make_shared<Shard>();
+        ledger->index_bytes += slot->Bytes();
+      } else if (slot.use_count() > 1) {
+        auto copy = std::make_shared<Shard>(*slot);
+        ledger->index_bytes = ledger->index_bytes + copy->Bytes() -
+                              slot->Bytes();
+        ledger->copied_bytes += copy->Bytes();
+        slot = std::move(copy);
+      }
+      const size_t before = slot->Bytes();
+      fn(*slot);
+      ledger->index_bytes = ledger->index_bytes + slot->Bytes() - before;
+    }
+
     std::array<std::shared_ptr<Shard>, kShardCount> shards_;
   };
 
@@ -349,12 +445,18 @@ class LinkStore {
   /// single-row answer inlined in the slot: the overwhelmingly common
   /// probe shape in chain and star joins (one matching row) is answered
   /// from one slot load, with no posting-list or quad-array
-  /// indirection. Multi-row groups spill to an overflow posting list in
-  /// creation order. Deletes tombstone the slot; rehashing drops
-  /// tombstones. One SpMap is one shard of a model's (s, p) index;
-  /// callers pass the pair's Hash(), whose low bits pick the slot.
+  /// indirection. Multi-row groups spill to an overflow list of row
+  /// indexes in creation order, kept in one shared RegionArena. Deletes
+  /// tombstone the slot; rehashing drops tombstones. One SpMap is one
+  /// shard of a model's (s, p) index; callers pass the pair's Hash(),
+  /// whose low bits pick the slot.
   class SpMap {
    public:
+    SpMap() = default;
+    /// Three vector copies, or a repack when the row arena is sparse.
+    SpMap(const SpMap& other);
+    SpMap& operator=(const SpMap&) = delete;
+
     struct Hit {
       const uint32_t* list = nullptr;  ///< row indexes when n > 1
       uint32_t n = 0;                  ///< match count (0 = miss)
@@ -383,9 +485,9 @@ class LinkStore {
           hit.o = slot.o;
           hit.canon_o = slot.canon_o;
         } else {
-          const std::vector<uint32_t>& rows = overflow_[slot.overflow];
-          hit.list = rows.data();
-          hit.n = static_cast<uint32_t>(rows.size());
+          const RowArena::Region& rows = overflow_[slot.overflow];
+          hit.list = rows_.At(rows);
+          hit.n = rows.len;
         }
         return hit;
       }
@@ -402,11 +504,11 @@ class LinkStore {
     size_t Bytes() const {
       return sizeof(SpMap) + 2 * sizeof(void*) +
              slots_.capacity() * sizeof(Slot) +
-             overflow_.capacity() * sizeof(std::vector<uint32_t>) +
-             free_overflow_.capacity() * sizeof(int32_t) + list_bytes_;
+             overflow_.capacity() * sizeof(RowArena::Region) +
+             free_overflow_.capacity() * sizeof(int32_t) + rows_.Bytes();
     }
-    /// Re-derive the overflow-list ledger (after a copy).
-    void Recount();
+    /// Pack the overflow lists tightly.
+    void Repack();
 
    private:
     static constexpr ValueId kEmpty = -1;
@@ -420,52 +522,108 @@ class LinkStore {
       ValueId canon_o = 0;
     };
 
+    using RowArena = RegionArena<uint32_t>;
+
     Slot& SlotFor(ValueId s, ValueId p, uint64_t hash);
     void Grow();
+    RowArena Packed(std::vector<RowArena::Region>* overflow) const;
 
     std::vector<Slot> slots_;
-    std::vector<std::vector<uint32_t>> overflow_;
-    std::vector<int32_t> free_overflow_;
-    size_t list_bytes_ = 0;  ///< overflow list capacities, in bytes
-    size_t used_ = 0;        ///< full + tombstoned slots
+    std::vector<RowArena::Region> overflow_;  ///< by Slot::overflow
+    std::vector<int32_t> free_overflow_;      ///< released overflow_ refs
+    RowArena rows_;
+    size_t used_ = 0;  ///< full + tombstoned slots
     size_t mask_ = 0;
   };
 
   /// One shard of a posting index: a delta+varint compressed list of
-  /// quad indexes per key. Lists are append-only ascending; deletions
-  /// tombstone the referenced quad instead of editing the list (see
-  /// DESIGN.md §14).
-  struct PostingShard {
-    std::unordered_map<ValueId, codec::PostingList> lists;
-    size_t list_bytes = 0;  ///< list payload capacities, in bytes
-
+  /// quad indexes per key, stored flat (DESIGN.md §14). An
+  /// open-addressing key table, probed by the low bits of the key's
+  /// Mix64 hash, holds each key's count, last value and two regions:
+  /// its encoded bytes in one byte arena, and — only for lists longer
+  /// than one codec::kBlockSize block — its skip entries in one skip
+  /// arena. Copying a shard is three vector copies and freeing one is
+  /// three frees, however many keys it holds. Lists are append-only
+  /// ascending; deletions tombstone the referenced quad instead of
+  /// editing the list.
+  class PostingShard {
+   public:
     static uint64_t Hash(ValueId key) {
       return Mix64(static_cast<uint64_t>(key));
     }
-    void Append(ValueId key, uint32_t idx) {
-      codec::PostingList& list = lists[key];
-      list_bytes -= list.ApproxBytes();
-      list.Append(idx);
-      list_bytes += list.ApproxBytes();
-    }
-    /// Heap bytes from real container geometry: the bucket array, one
-    /// node per key (payload + ~two pointers of allocator overhead),
-    /// and the list payloads.
-    size_t Bytes() const {
-      return sizeof(PostingShard) + 2 * sizeof(void*) +
-             lists.bucket_count() * sizeof(void*) +
-             lists.size() *
-                 (sizeof(std::pair<const ValueId, codec::PostingList>) +
-                  2 * sizeof(void*)) +
-             list_bytes;
-    }
-    void Recount() {
-      list_bytes = 0;
-      for (const auto& [key, list] : lists) {
-        (void)key;
-        list_bytes += list.ApproxBytes();
+
+    PostingShard() = default;
+    /// Three vector copies, or a repack when an arena is sparse.
+    PostingShard(const PostingShard& other);
+    PostingShard& operator=(const PostingShard&) = delete;
+
+    /// The list of `key` (`hash` = Hash(key)); empty when absent.
+    codec::PostingView Find(ValueId key, uint64_t hash) const {
+      if (slots_.empty()) return {};
+      for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+        const Slot& slot = slots_[i];
+        if (slot.key == key) return ViewOf(slot);
+        if (slot.key == kEmpty) return {};
       }
     }
+    /// Append `idx` to the list of `key`; idx must exceed its back().
+    void Append(ValueId key, uint64_t hash, uint32_t idx);
+    /// Pack every list tightly (no holes, no slack).
+    void Repack();
+
+    /// Visit every (key, list), in table order.
+    template <typename Fn>
+    void ForEachList(Fn&& fn) const {
+      for (const Slot& slot : slots_) {
+        if (slot.key != kEmpty) fn(slot.key, ViewOf(slot));
+      }
+    }
+
+    /// Heap bytes from real container geometry: this object, the key
+    /// table and the two arenas (holes and slack included).
+    size_t Bytes() const {
+      return sizeof(PostingShard) + 2 * sizeof(void*) +
+             slots_.capacity() * sizeof(Slot) + bytes_.Bytes() +
+             skips_.Bytes();
+    }
+    /// Encoded bytes of every list; skip entries of every list.
+    size_t encoded_bytes() const { return bytes_.live(); }
+    size_t skip_entries() const { return skips_.live(); }
+    /// Arena bytes in holes left by moved lists or in slack at the end
+    /// of a list's region.
+    size_t slack_bytes() const {
+      return bytes_.size() - bytes_.live() +
+             (skips_.size() - skips_.live()) * sizeof(codec::SkipEntry);
+    }
+
+   private:
+    static constexpr ValueId kEmpty = -1;  ///< keys are VALUE_IDs (>= 0)
+    using ByteArena = RegionArena<uint8_t>;
+    using SkipArena = RegionArena<codec::SkipEntry>;
+    struct Slot {
+      ValueId key = kEmpty;
+      uint32_t count = 0;
+      uint32_t last = 0;
+      ByteArena::Region bytes;
+      SkipArena::Region skips;  ///< len 0 while the list fits one block
+    };
+
+    codec::PostingView ViewOf(const Slot& slot) const {
+      return codec::PostingView(bytes_.At(slot.bytes),
+                                skips_.At(slot.skips), slot.count,
+                                slot.last);
+    }
+    Slot& SlotFor(ValueId key, uint64_t hash);
+    void Grow();
+    /// Tight copies of `source`'s arenas into this shard, whose slots
+    /// are a copy of `source`'s.
+    void PackFrom(const PostingShard& source);
+
+    std::vector<Slot> slots_;
+    ByteArena bytes_;
+    SkipArena skips_;
+    size_t keys_ = 0;
+    size_t mask_ = 0;
   };
   using PostingIndex = ShardArray<PostingShard>;
 
@@ -518,13 +676,15 @@ class LinkStore {
     int64_t IndexOfLink(LinkId link_id) const;
     /// Renumber live quads into fresh chunks and shards.
     void Compact();
+    /// Pack every posting and (s, p) shard tightly (after a rebuild).
+    void Repack();
     bool ShouldCompact() const {
       return dead_count > 4096 && dead_count * 2 > quads.size();
     }
 
     /// Approximate heap bytes owned by this cache object, from real
-    /// container geometry: chunk capacities, shard ledgers (hash bucket
-    /// arrays, per-node allocator overhead, list capacities) — no flat
+    /// container geometry: chunk capacities and the shard ledger (key
+    /// tables and arena capacities, holes included) — no flat
     /// per-entry constants. Drives the quad-cache memory gauge.
     size_t ApproxBytes() const {
       return sizeof(ModelIdCache) + quads.ApproxBytes() +
@@ -541,13 +701,13 @@ class LinkStore {
       const SpMap* shard = by_sp.Find(hash);
       return shard == nullptr ? SpMap::Hit{} : shard->Probe(s, p, hash);
     }
-    /// Posting list of `key` in one of the posting indexes, or null.
-    static const codec::PostingList* FindPostings(const PostingIndex& index,
-                                                  ValueId key) {
-      const PostingShard* shard = index.Find(PostingShard::Hash(key));
-      if (shard == nullptr) return nullptr;
-      auto it = shard->lists.find(key);
-      return it == shard->lists.end() ? nullptr : &it->second;
+    /// Posting list of `key` in one of the posting indexes; empty when
+    /// absent.
+    static codec::PostingView FindPostings(const PostingIndex& index,
+                                           ValueId key) {
+      const uint64_t hash = PostingShard::Hash(key);
+      const PostingShard* shard = index.Find(hash);
+      return shard == nullptr ? codec::PostingView{} : shard->Find(key, hash);
     }
 
     /// Exact (s, p, lexical-object) probe — the identity Insert/Delete
@@ -614,16 +774,16 @@ class LinkStore {
     SpMap::Hit ProbeSp(ValueId s, ValueId p) const {
       return cache_->ProbeSp(s, p);
     }
-    /// Compressed posting lists (quad indexes; may reference
-    /// tombstoned quads — check IdQuad::link_id or rely on residual
-    /// filters, which never match a dead quad's -1 ids).
-    const codec::PostingList* PostingsS(ValueId s) const {
+    /// Compressed posting lists, empty for an absent key (quad indexes;
+    /// may reference tombstoned quads — check IdQuad::link_id or rely
+    /// on residual filters, which never match a dead quad's -1 ids).
+    codec::PostingView PostingsS(ValueId s) const {
       return ModelIdCache::FindPostings(cache_->by_s, s);
     }
-    const codec::PostingList* PostingsCanon(ValueId canon_o) const {
+    codec::PostingView PostingsCanon(ValueId canon_o) const {
       return ModelIdCache::FindPostings(cache_->by_canon, canon_o);
     }
-    const codec::PostingList* PostingsP(ValueId p) const {
+    codec::PostingView PostingsP(ValueId p) const {
       return ModelIdCache::FindPostings(cache_->by_p, p);
     }
     /// Mirror MatchEachIds' store-level scan accounting.

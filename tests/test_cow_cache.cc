@@ -96,19 +96,18 @@ RawCapture CaptureRaw(const StoreVersion& version, ModelId model_id,
       out.quads.emplace_back(q.s, q.p, q.o, q.canon_o, q.link_id);
     }
   }
-  auto postings = [&](char kind, ValueId key,
-                      const codec::PostingList* list) {
-    out.postings[{kind, key}] =
-        list == nullptr ? std::vector<uint32_t>{} : list->ToVector();
+  auto postings = [&](char kind, ValueId key, const codec::PostingView& list) {
+    out.postings[{kind, key}] = list.ToVector();
   };
+  const codec::PostingView none;
   for (ValueId key : keys.s) {
-    postings('s', key, leaf.valid() ? leaf.PostingsS(key) : nullptr);
+    postings('s', key, leaf.valid() ? leaf.PostingsS(key) : none);
   }
   for (ValueId key : keys.canon) {
-    postings('o', key, leaf.valid() ? leaf.PostingsCanon(key) : nullptr);
+    postings('o', key, leaf.valid() ? leaf.PostingsCanon(key) : none);
   }
   for (ValueId key : keys.p) {
-    postings('p', key, leaf.valid() ? leaf.PostingsP(key) : nullptr);
+    postings('p', key, leaf.valid() ? leaf.PostingsP(key) : none);
   }
   for (const auto& [s, p] : keys.sp) {
     std::vector<ValueId>& hit = out.sp[{s, p}];
@@ -150,10 +149,9 @@ LogicalCapture CaptureLogical(const LinkStore& links, ModelId model_id) {
   const Keys keys = KeysOf(leaf);
   if (!leaf.valid()) return out;
   const LinkStore::QuadArray& quads = leaf.quads();
-  auto live_links = [&](const codec::PostingList* list) {
+  auto live_links = [&](const codec::PostingView& list) {
     std::set<LinkId> ids;
-    if (list == nullptr) return ids;
-    list->ForEach([&](uint32_t idx) {
+    list.ForEach([&](uint32_t idx) {
       if (!LinkStore::ModelIdCache::Dead(quads[idx])) {
         ids.insert(quads[idx].link_id);
       }
@@ -311,7 +309,7 @@ TEST(CowCacheTest, PinnedVersionsSurviveEveryMutationPath) {
   const Keys live_keys = KeysOf(store.Snapshot()->Leaf(m));
   for (ValueId s : live_keys.s) {
     if (m_keys.s.count(s) == 0) {
-      EXPECT_EQ(pinned->Leaf(m).PostingsS(s), nullptr);
+      EXPECT_TRUE(pinned->Leaf(m).PostingsS(s).empty());
     }
   }
   for (const auto& [s, p] : live_keys.sp) {
@@ -339,12 +337,18 @@ TEST(CowCacheTest, PinnedVersionsSurviveEveryMutationPath) {
   EXPECT_EQ(store.GetModelStats("m")->triples, mutated.quads.size());
 }
 
-/// Heap bytes the calling thread allocates for one single-statement
-/// Apply into a `triples`-triple model while a published version
-/// shares its cache. The median of several such writes is returned: the
-/// tables under the cache grow geometrically, and an occasional
-/// amortized reallocation there is not what this measures.
-uint64_t OneStatementApplyBytes(int triples, size_t* quad_cache_bytes) {
+/// Heap bytes and allocations the calling thread makes for one
+/// single-statement Apply into a `triples`-triple model while a
+/// published version shares its cache. The median of several such
+/// writes is returned: the tables under the cache grow geometrically,
+/// and an occasional amortized reallocation there is not what this
+/// measures.
+struct WriteCost {
+  uint64_t bytes = 0;
+  uint64_t allocations = 0;
+};
+
+WriteCost OneStatementApplyCost(int triples, size_t* quad_cache_bytes) {
   SnapshotRdfStore store;
   EXPECT_TRUE(store
                   .Apply([&](RdfStore& live) -> Status {
@@ -353,27 +357,32 @@ uint64_t OneStatementApplyBytes(int triples, size_t* quad_cache_bytes) {
                     return InsertRange(live, "m", 0, triples);
                   })
                   .ok());
-  std::vector<uint64_t> bytes;
+  std::vector<uint64_t> bytes, allocations;
   for (int k = 0; k < 5; ++k) {
     const SnapshotRdfStore::ReadPin pin = store.Snapshot();
-    const uint64_t before = obs::ThreadAllocatedBytes();
+    const uint64_t bytes_before = obs::ThreadAllocatedBytes();
+    const uint64_t allocations_before = obs::ThreadAllocationCount();
     EXPECT_TRUE(store
                     .Apply([&](RdfStore& live) {
                       return InsertRange(live, "m", triples + k,
                                          triples + k + 1);
                     })
                     .ok());
-    bytes.push_back(obs::ThreadAllocatedBytes() - before);
+    bytes.push_back(obs::ThreadAllocatedBytes() - bytes_before);
+    allocations.push_back(obs::ThreadAllocationCount() - allocations_before);
   }
   *quad_cache_bytes = store.MemoryUsage().quad_cache_bytes;
   std::sort(bytes.begin(), bytes.end());
-  return bytes[bytes.size() / 2];
+  std::sort(allocations.begin(), allocations.end());
+  return WriteCost{bytes[bytes.size() / 2],
+                   allocations[allocations.size() / 2]};
 }
 
 TEST(CowCacheTest, OneStatementWriteCostDoesNotGrowWithTheModel) {
   size_t small_cache = 0, large_cache = 0;
-  const uint64_t small = OneStatementApplyBytes(10000, &small_cache);
-  const uint64_t large = OneStatementApplyBytes(50000, &large_cache);
+  const WriteCost small_cost = OneStatementApplyCost(10000, &small_cache);
+  const WriteCost large_cost = OneStatementApplyCost(50000, &large_cache);
+  const uint64_t small = small_cost.bytes, large = large_cost.bytes;
   EXPECT_LT(small, 1u << 20);
   EXPECT_LT(large, 1u << 20);
   // A whole-cache copy would cost about the cache itself.
@@ -384,6 +393,20 @@ TEST(CowCacheTest, OneStatementWriteCostDoesNotGrowWithTheModel) {
                          large_cache / LinkStore::kShardCount;
   const uint64_t diff = large > small ? large - small : small - large;
   EXPECT_LT(diff, bound) << "10k: " << small << " B, 50k: " << large << " B";
+
+  // A shard copy is a few vector copies whatever its key count, so the
+  // number of allocations does not grow with the model either. (One
+  // allocation per key, as a node-based shard makes, would add ~3 per
+  // key of each copied shard: hundreds between these two sizes.)
+  EXPECT_LT(small_cost.allocations, 120u);
+  EXPECT_LT(large_cost.allocations, 120u);
+  const uint64_t allocation_diff =
+      large_cost.allocations > small_cost.allocations
+          ? large_cost.allocations - small_cost.allocations
+          : small_cost.allocations - large_cost.allocations;
+  EXPECT_LE(allocation_diff, 8u)
+      << "10k: " << small_cost.allocations
+      << " allocations, 50k: " << large_cost.allocations;
 }
 
 TEST(CowCacheTest, CopiedBytesCounterCountsChunkAndShardCopies) {

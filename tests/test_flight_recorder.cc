@@ -340,6 +340,9 @@ TEST_F(FlightRecorderTest, BlackBoxMirrorsHistoryAndEvents) {
   auto log = EventLog::Open(std::move(log_options));
   ASSERT_TRUE(log.ok());
   (*log)->Append("test", "\"note\":\"remembered\"");
+  // TailJsonl() lags Append by one drain cycle; wait for it so the
+  // recorder's first sample sees the event.
+  (*log)->Flush();
 
   FlightRecorder::Options options = BaseOptions();
   options.events = log->get();

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "rdf/vocab.h"
 
 namespace rdfdb::rdf {
@@ -282,6 +288,199 @@ TEST_F(LinkStoreTest, RebuildCacheSortsOutOfOrderLinkIds) {
     EXPECT_EQ(row->start_node_id, subjects[i]);
   }
   EXPECT_FALSE(links_.Get(100000 - n).ok());
+}
+
+// ---- Flat posting shards, against an oracle ----------------------------
+
+using Oracle = std::map<ValueId, std::vector<uint32_t>>;
+
+/// One copy of a posting index, as a model's cache holds it, with the
+/// lists it must contain.
+struct IndexSide {
+  LinkStore::PostingIndex index;
+  LinkStore::CacheLedger ledger;
+  Oracle oracle;
+  uint32_t next = 0;  ///< the next quad index to append
+};
+
+void AppendTo(IndexSide* side, ValueId key, uint32_t idx) {
+  const uint64_t hash = LinkStore::PostingShard::Hash(key);
+  side->index.Edit(hash, &side->ledger, [&](LinkStore::PostingShard& shard) {
+    shard.Append(key, hash, idx);
+  });
+  side->oracle[key].push_back(idx);
+}
+
+/// Every distinct shard `side` holds (each key's shard, deduplicated).
+std::set<const LinkStore::PostingShard*> ShardsOf(const IndexSide& side) {
+  std::set<const LinkStore::PostingShard*> shards;
+  for (const auto& [key, values] : side.oracle) {
+    (void)values;
+    shards.insert(side.index.Find(LinkStore::PostingShard::Hash(key)));
+  }
+  return shards;
+}
+
+/// Decode `key`'s list every way a reader can — ForEach, a Cursor walk,
+/// SkipTo from fresh cursors and from one moving cursor — and compare
+/// each with the oracle.
+void ExpectListMatches(const IndexSide& side, ValueId key,
+                       std::mt19937* rng) {
+  const std::vector<uint32_t>& want = side.oracle.at(key);
+  const codec::PostingView view =
+      LinkStore::ModelIdCache::FindPostings(side.index, key);
+  ASSERT_EQ(view.size(), want.size()) << "key " << key;
+  EXPECT_EQ(view.back(), want.back());
+  std::vector<uint32_t> got;
+  view.ForEach([&](uint32_t v) {
+    got.push_back(v);
+    return true;
+  });
+  EXPECT_EQ(got, want) << "ForEach, key " << key;
+  got.clear();
+  for (codec::PostingView::Cursor cur(view); !cur.AtEnd(); cur.Next()) {
+    EXPECT_EQ(cur.Index(), got.size());
+    got.push_back(cur.Value());
+  }
+  EXPECT_EQ(got, want) << "Cursor, key " << key;
+
+  const uint32_t top = want.back() + 2;
+  for (int probe = 0; probe < 8; ++probe) {
+    const uint32_t target = (*rng)() % top;
+    codec::PostingView::Cursor cur(view);
+    auto it = std::lower_bound(want.begin(), want.end(), target);
+    if (it == want.end()) {
+      EXPECT_FALSE(cur.SkipTo(target));
+    } else {
+      ASSERT_TRUE(cur.SkipTo(target)) << "key " << key << " -> " << target;
+      EXPECT_EQ(cur.Value(), *it);
+      EXPECT_EQ(cur.Index(), static_cast<uint32_t>(it - want.begin()));
+    }
+  }
+  // Forward skips about two values apart on average.
+  const uint32_t gap =
+      1 + 4 * (want.back() / static_cast<uint32_t>(want.size()));
+  codec::PostingView::Cursor moving(view);
+  for (uint32_t target = 0;; target += 1 + (*rng)() % gap) {
+    auto it = std::lower_bound(want.begin(), want.end(), target);
+    if (it == want.end()) {
+      EXPECT_FALSE(moving.SkipTo(target));
+      break;
+    }
+    ASSERT_TRUE(moving.SkipTo(target));
+    ASSERT_EQ(moving.Value(), *it);
+  }
+}
+
+/// Every list, no phantom keys, and a ledger that matches one
+/// recomputed from scratch: the index's byte total is the sum of its
+/// shards' Bytes(), and the shards' live byte and skip counts are what
+/// the oracle's lists encode to.
+void ExpectSideMatches(const IndexSide& side, std::mt19937* rng) {
+  for (const auto& [key, values] : side.oracle) {
+    (void)values;
+    ExpectListMatches(side, key, rng);
+  }
+  EXPECT_TRUE(LinkStore::ModelIdCache::FindPostings(side.index, 1u << 30)
+                  .empty());
+
+  size_t encoded = 0, skips = 0;
+  for (const auto& [key, values] : side.oracle) {
+    (void)key;
+    uint32_t last = 0;
+    for (uint32_t v : values) {
+      encoded += codec::VarintLength(v - last);
+      last = v;
+    }
+    skips += codec::PostingView::SkipCountFor(
+        static_cast<uint32_t>(values.size()));
+  }
+  size_t shard_encoded = 0, shard_skips = 0, keys = 0;
+  for (const LinkStore::PostingShard* shard : ShardsOf(side)) {
+    shard_encoded += shard->encoded_bytes();
+    shard_skips += shard->skip_entries();
+    shard->ForEachList([&](ValueId key, const codec::PostingView& list) {
+      ++keys;
+      auto it = side.oracle.find(key);
+      ASSERT_NE(it, side.oracle.end()) << "phantom key " << key;
+      EXPECT_EQ(list.size(), it->second.size());
+    });
+  }
+  EXPECT_EQ(keys, side.oracle.size());
+  EXPECT_EQ(shard_encoded, encoded);
+  EXPECT_EQ(shard_skips, skips);
+  EXPECT_EQ(side.ledger.index_bytes,
+            side.index.UnsharedBytes(LinkStore::PostingIndex{}));
+}
+
+TEST(PostingShardTest, MatchesOracleAcrossCopiesSkipBlocksAndMoves) {
+  std::mt19937 rng(20061);
+  std::vector<IndexSide> sides(1);
+  size_t max_slack = 0;
+  uint32_t longest = 0;
+  for (int step = 0; step < 40; ++step) {
+    // Copy-on-write copies mid-run: a copy shares every shard until
+    // its first write, and then both sides keep changing.
+    if (step == 10 || step == 20 || step == 30) {
+      const IndexSide copy = sides[rng() % sides.size()];
+      sides.push_back(copy);
+    }
+    for (IndexSide& side : sides) {
+      for (int n = 0; n < 300; ++n) {
+        // A few hot keys grow lists across many 64-value skip blocks,
+        // and outgrow their arena slot again and again between the
+        // cold keys' appends to the same shards.
+        const ValueId key = rng() % 4 == 0 ? static_cast<ValueId>(rng() % 6)
+                                           : static_cast<ValueId>(rng() % 3000);
+        side.next += 1 + rng() % 300;
+        AppendTo(&side, key, side.next);
+        ASSERT_EQ(LinkStore::ModelIdCache::FindPostings(side.index, key)
+                      .ToVector(),
+                  side.oracle[key]);
+      }
+      for (const LinkStore::PostingShard* shard : ShardsOf(side)) {
+        max_slack = std::max(max_slack, shard->slack_bytes());
+      }
+      ExpectSideMatches(side, &rng);
+      for (const auto& [key, values] : side.oracle) {
+        (void)key;
+        longest = std::max(longest, static_cast<uint32_t>(values.size()));
+      }
+    }
+  }
+  // The run exercised what it is for: lists moved (leaving holes) and
+  // crossed many skip blocks.
+  EXPECT_GT(max_slack, 0u);
+  EXPECT_GT(longest, 8 * codec::kBlockSize);
+
+  // Repacking leaves no holes or slack and changes no list.
+  for (IndexSide& side : sides) {
+    side.index.RepackAll(&side.ledger);
+    for (const LinkStore::PostingShard* shard : ShardsOf(side)) {
+      EXPECT_EQ(shard->slack_bytes(), 0u);
+    }
+    ExpectSideMatches(side, &rng);
+  }
+}
+
+TEST(PostingShardTest, SparseShardsRepackWhenCopied) {
+  // Interleave two keys of one shard so each keeps moving, then copy.
+  LinkStore::PostingShard shard;
+  Oracle oracle;
+  for (uint32_t i = 0; i < 2000; ++i) {
+    const ValueId key = i % 2 == 0 ? 7 : 8;
+    shard.Append(key, LinkStore::PostingShard::Hash(key), i);
+    oracle[key].push_back(i);
+  }
+  ASSERT_GT(shard.slack_bytes(), shard.encoded_bytes());
+  const LinkStore::PostingShard copy(shard);
+  EXPECT_EQ(copy.slack_bytes(), 0u);
+  EXPECT_LT(copy.Bytes(), shard.Bytes());
+  for (const auto& [key, values] : oracle) {
+    const uint64_t h = LinkStore::PostingShard::Hash(key);
+    EXPECT_EQ(shard.Find(key, h).ToVector(), values);
+    EXPECT_EQ(copy.Find(key, h).ToVector(), values);
+  }
 }
 
 }  // namespace
